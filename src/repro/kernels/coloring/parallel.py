@@ -260,7 +260,7 @@ def _color_wave_step(indptr, indices, colors, verts, tick, write_time):
             seen[vn[vn <= len(vn) + 1] - 1] = True
             mex[i] = int(np.argmin(seen)) + 1
     colors[verts] = mex
-    # repro: ignore[fp-undeclared-write, fp-undeclared-write-transitive] write_time is replay-side
+    # repro: ignore[fp-undeclared-write] write_time is replay-side
     # bookkeeping (which lockstep instant committed each colour), not
     # simulated shared state; it never exists on the modelled machine,
     # so the checker has nothing to audit.

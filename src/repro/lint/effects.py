@@ -8,13 +8,14 @@ cross-module rules reason about:
   against the project call graph (:mod:`repro.lint.callgraph`) and the
   plain-``Name`` arguments so array footprints map through helpers;
 * subscripted writes (``x[i] = ...``, ``x[i] += ...``,
-  ``np.add.at(x, ...)``) — the raw material of static
-  :class:`~repro.kernels.base.AccessSet` inference;
+  ``np.add.at(x, ...)``), nested closures included — the raw material
+  of static :class:`~repro.kernels.base.AccessSet` inference;
 * ``open(...)`` sites with their mode and a tmp-file heuristic — the
   raw material of the crash-safety write-protocol rule;
 * calls through observer/checker handles that are *not* behind the
-  ``is not None`` gate — the raw material of the transitive
-  observer-gating rule.
+  ``is not None`` gate — the raw material of the observer-gating
+  rule (:func:`ungated_obs_calls` lists them for a whole module,
+  module-level and class-body code included).
 
 Extraction is purely syntactic and intentionally approximate; the
 DESIGN.md analyzer section documents the imprecision sources.
@@ -23,13 +24,15 @@ DESIGN.md analyzer section documents the imprecision sources.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.lint.astutil import (const_str, guards_with_not_none,
-                                handle_base)
+from repro.lint.astutil import (call_name, const_str,
+                                guards_with_not_none, handle_base,
+                                walk_calls)
 
 __all__ = ["CallArg", "CallSite", "OpenOp", "FunctionSummary",
-           "extract_functions", "BLOCKING_OS_NAMES", "blocking_kind"]
+           "extract_functions", "ungated_obs_calls", "BLOCKING_OS_NAMES",
+           "blocking_kind"]
 
 #: ``os.<name>`` calls the asyncio-hygiene rule treats as blocking I/O.
 #: ``os.path.*`` stats are deliberately absent: they are treated as
@@ -84,16 +87,11 @@ class FunctionSummary:
     line: int
     is_async: bool
     class_name: str                  # "" for module-level functions
-    params: tuple[str, ...]          # positional + kwonly, no self/cls
+    params: tuple[str, ...]          # signature order, *args in, no self/cls
     calls: tuple[CallSite, ...] = ()
     sub_writes: tuple[tuple[str, int], ...] = ()   # (name, line)
     opens: tuple[OpenOp, ...] = ()
     ungated_obs: tuple[tuple[int, str], ...] = ()  # (line, handle text)
-
-    def param_writes(self) -> tuple[tuple[str, int], ...]:
-        """Subscript writes whose target is one of this fn's params."""
-        return tuple((n, ln) for n, ln in self.sub_writes
-                     if n in self.params)
 
 
 def blocking_kind(call: CallSite) -> str | None:
@@ -164,17 +162,74 @@ def _open_mode(call: ast.Call) -> str | None:
     return "r" if call.args else None
 
 
+def _ungated_handle(call: ast.Call, import_bound: set[str]) -> str | None:
+    """The handle text of an observer hook call missing its ``is not
+    None`` gate, else None.
+
+    A bare name bound by an import (``from repro.check import checker
+    as _check``) is a module alias, not a handle.
+    """
+    handle = handle_base(call)
+    if handle is None or guards_with_not_none(call, handle):
+        return None
+    if isinstance(handle, ast.Name) and handle.id in import_bound:
+        return None
+    return ast.unparse(handle)
+
+
+def ungated_obs_calls(tree: ast.Module,
+                      import_bound: set[str]) -> tuple[tuple[int, str], ...]:
+    """``(line, handle text)`` of every ungated hook call in *tree*."""
+    out = []
+    for call in walk_calls(tree):
+        handle = _ungated_handle(call, import_bound)
+        if handle is not None:
+            out.append((call.lineno, handle))
+    return tuple(out)
+
+
+def _subscript_writes(fn: ast.FunctionDef | ast.AsyncFunctionDef
+                      ) -> tuple[tuple[str, int], ...]:
+    """``(name, line)`` of every ``name[...] = ...``, ``name[...] op=
+    ...`` and in-place scatter ``np.<op>.at(name, ...)`` in *fn*, in
+    source order.
+
+    Nested defs are walked too: closures are the chunk bodies, and a
+    closure's write to a captured parameter writes the enclosing
+    function's array.
+    """
+    out: list[tuple[str, int]] = []
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Assign):
+            targets = list(node.targets)
+        elif isinstance(node, ast.AugAssign):
+            targets = [node.target]
+        elif isinstance(node, ast.Call):
+            if call_name(node) == "at" and node.args \
+                    and isinstance(node.args[0], ast.Name):
+                out.append((node.args[0].id, node.lineno))
+            continue
+        else:
+            continue
+        for target in targets:
+            if isinstance(target, ast.Tuple):
+                targets.extend(target.elts)
+            elif isinstance(target, ast.Subscript) \
+                    and isinstance(target.value, ast.Name):
+                out.append((target.value.id, target.lineno))
+    return tuple(sorted(out, key=lambda write: write[1]))
+
+
 class _FnVisitor:
-    """Collects one function's effects, skipping nested defs (each
-    nested def gets its own summary; calls are attributed to the
-    innermost enclosing function)."""
+    """Collects one function's calls, opens and ungated hooks, skipping
+    nested defs (each nested def gets its own summary; calls are
+    attributed to the innermost enclosing function)."""
 
     def __init__(self, fn: ast.FunctionDef | ast.AsyncFunctionDef,
                  import_bound: set[str]):
         self.fn = fn
         self.import_bound = import_bound
         self.calls: list[CallSite] = []
-        self.sub_writes: list[tuple[str, int]] = []
         self.opens: list[OpenOp] = []
         self.ungated: list[tuple[int, str]] = []
         # Simple local string assignments, for resolving
@@ -191,8 +246,6 @@ class _FnVisitor:
             return                   # separate summary
         if isinstance(node, ast.Assign):
             self._record_assign(node)
-        elif isinstance(node, ast.AugAssign):
-            self._record_sub_target(node.target)
         elif isinstance(node, ast.Call):
             self._record_call(node)
         for child in ast.iter_child_nodes(node):
@@ -203,18 +256,11 @@ class _FnVisitor:
         for target in targets:
             if isinstance(target, ast.Tuple):
                 targets.extend(target.elts)
-                continue
-            self._record_sub_target(target)
-            if isinstance(target, ast.Name):
+            elif isinstance(target, ast.Name):
                 try:
                     self.locals_text[target.id] = ast.unparse(node.value)
                 except Exception:    # pragma: no cover - defensive
                     pass
-
-    def _record_sub_target(self, target: ast.expr) -> None:
-        if isinstance(target, ast.Subscript) \
-                and isinstance(target.value, ast.Name):
-            self.sub_writes.append((target.value.id, target.lineno))
 
     def _record_call(self, call: ast.Call) -> None:
         split = _split_call(call)
@@ -223,21 +269,11 @@ class _FnVisitor:
             self.calls.append(CallSite(
                 name=name, base=base, line=call.lineno,
                 args=_call_args(call)))
-            # numpy in-place scatter: np.add.at(arr, idx, v) writes arr.
-            if name == "at" and call.args \
-                    and isinstance(call.args[0], ast.Name):
-                self.sub_writes.append(
-                    (call.args[0].id, call.lineno))
             if base == "" and name == "open":
                 self._record_open(call)
-        handle = handle_base(call)
+        handle = _ungated_handle(call, self.import_bound)
         if handle is not None:
-            if isinstance(handle, ast.Name) \
-                    and handle.id in self.import_bound:
-                return
-            if not guards_with_not_none(call, handle):
-                self.ungated.append(
-                    (call.lineno, ast.unparse(handle)))
+            self.ungated.append((call.lineno, handle))
 
     def _record_open(self, call: ast.Call) -> None:
         mode = _open_mode(call)
@@ -271,9 +307,11 @@ def extract_functions(tree: ast.Module,
         for node in body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 qname = f"{scope.prefix}{node.name}"
+                args = node.args
+                vararg = [args.vararg] if args.vararg else []
                 params = tuple(
-                    a.arg for a in (node.args.posonlyargs + node.args.args
-                                    + node.args.kwonlyargs)
+                    a.arg for a in (args.posonlyargs + args.args + vararg
+                                    + args.kwonlyargs)
                     if a.arg not in ("self", "cls"))
                 visitor = _FnVisitor(node, import_bound)
                 visitor.run()
@@ -282,7 +320,7 @@ def extract_functions(tree: ast.Module,
                     is_async=isinstance(node, ast.AsyncFunctionDef),
                     class_name=scope.class_name, params=params,
                     calls=tuple(visitor.calls),
-                    sub_writes=tuple(visitor.sub_writes),
+                    sub_writes=_subscript_writes(node),
                     opens=tuple(visitor.opens),
                     ungated_obs=tuple(visitor.ungated))
                 if qname not in out:     # first def wins (overloads)
@@ -292,10 +330,14 @@ def extract_functions(tree: ast.Module,
             elif isinstance(node, ast.ClassDef):
                 walk(node.body, _Scope(prefix=f"{scope.prefix}{node.name}.",
                                        class_name=node.name))
-            elif isinstance(node, (ast.If, ast.Try, ast.With, ast.For,
-                                   ast.While)):
+            else:
+                # Compound statements: defs under if/try/except/with/
+                # for/while/match are functions too.
                 for sub in ast.iter_child_nodes(node):
                     if isinstance(sub, ast.stmt):
                         walk([sub], scope)
+                    elif isinstance(sub, (ast.excepthandler,
+                                          ast.match_case)):
+                        walk(sub.body, scope)
     walk(tree.body, _Scope(prefix="", class_name=""))
     return out

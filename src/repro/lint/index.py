@@ -10,7 +10,8 @@ fingerprint of the lint package itself, so a warm run re-parses only
 files whose content (or whose analyzer) changed.
 
 Phase 2 merges the payloads into a :class:`ProjectIndex` — module
-table, class table, declared AccessSet footprints — over which
+table, class table, declared AccessSet write footprints, ungated
+observer hooks — over which
 :mod:`repro.lint.callgraph` resolves an approximate call graph and the
 cross-module rule families run.
 """
@@ -23,7 +24,9 @@ import pickle
 from dataclasses import dataclass, field
 
 from repro._util import sha256_hex
-from repro.lint.effects import FunctionSummary, extract_functions
+from repro.lint.astutil import const_str, walk_calls
+from repro.lint.effects import (FunctionSummary, extract_functions,
+                                ungated_obs_calls)
 
 __all__ = ["ClassSummary", "ModuleSummary", "FilePayload", "ProjectIndex",
            "summarize_module", "build_index", "module_name_for",
@@ -52,8 +55,8 @@ class ModuleSummary:
     classes: dict[str, ClassSummary] = field(default_factory=dict)
     functions: dict[str, FunctionSummary] = field(default_factory=dict)
     declared_writes: frozenset[str] = frozenset()
-    declared_reads: frozenset[str] = frozenset()
     uses_access_sets: bool = False
+    ungated_obs: tuple[tuple[int, str], ...] = ()  # (line, handle text)
 
 
 @dataclass
@@ -127,27 +130,25 @@ def _import_map(tree: ast.Module, module: str) -> dict[str, str]:
     return out
 
 
-def _declared_arrays(tree: ast.Module) -> tuple[frozenset[str],
-                                                frozenset[str], bool]:
-    """String-literal array names in AccessSet builder chains."""
-    from repro.lint.astutil import const_str, walk_calls
+def _declared_writes(tree: ast.Module) -> tuple[frozenset[str], bool]:
+    """(string-literal names handed to ``.writes(...)`` in AccessSet
+    builder chains, whether the module builds an AccessSet at all).
+
+    ``.benign_race(...)`` declares no cells — it annotates races on an
+    array — so it does not count as a write declaration.
+    """
     writes: set[str] = set()
-    reads: set[str] = set()
     uses = False
     for call in walk_calls(tree):
         func = call.func
         if isinstance(func, ast.Name) and func.id == "AccessSet":
             uses = True
-        if not isinstance(func, ast.Attribute) or not call.args:
-            continue
-        name = const_str(call.args[0])
-        if name is None:
-            continue
-        if func.attr in ("writes", "benign_race"):
-            writes.add(name)
-        elif func.attr == "reads":
-            reads.add(name)
-    return frozenset(writes), frozenset(reads), uses
+        elif isinstance(func, ast.Attribute) and func.attr == "writes" \
+                and call.args:
+            name = const_str(call.args[0])
+            if name is not None:
+                writes.add(name)
+    return frozenset(writes), uses
 
 
 def summarize_module(tree: ast.Module, relpath: str,
@@ -171,11 +172,12 @@ def summarize_module(tree: ast.Module, relpath: str,
                 pass
         classes[node.name] = ClassSummary(
             name=node.name, bases=tuple(bases), methods=methods)
-    writes, reads, uses = _declared_arrays(tree)
+    writes, uses = _declared_writes(tree)
     return ModuleSummary(
         relpath=relpath, module=module, imports=_import_map(tree, module),
         classes=classes, functions=functions, declared_writes=writes,
-        declared_reads=reads, uses_access_sets=uses)
+        uses_access_sets=uses,
+        ungated_obs=ungated_obs_calls(tree, import_bound))
 
 
 @dataclass

@@ -7,9 +7,8 @@ engine triggers the import lazily via
 
 from repro.lint.rules import (asyncio_hygiene, crash_safety, determinism,
                               env_hygiene, footprints, locks,
-                              observer_gating, observer_transitive,
-                              static_footprints)
+                              observer_transitive, static_footprints)
 
 __all__ = ["asyncio_hygiene", "crash_safety", "determinism",
-           "env_hygiene", "footprints", "locks", "observer_gating",
-           "observer_transitive", "static_footprints"]
+           "env_hygiene", "footprints", "locks", "observer_transitive",
+           "static_footprints"]

@@ -1,17 +1,24 @@
-"""Observer gating, upgraded with the call graph (whole-program rule).
+"""Observer gating: telemetry/checker hooks stay one comparison when off.
 
-The per-file ``obs-ungated`` rule enforces the "one ``is not None``
-comparison when off" telemetry contract inside the simulated core, but
-it cannot see a hot-path function delegating to a helper *outside*
-``SIM_SCOPE`` that touches an observer handle unguarded — the helper's
-module is out of scope, the caller's call is just a call.  This rule
-closes that hole: starting from every function in a ``SIM_SCOPE``
-module, walk call edges into out-of-scope modules and report paths
-that reach an ungated handle call, with the full chain as evidence.
+The telemetry (:mod:`repro.obs`) and concurrency-checking
+(:mod:`repro.check`) layers promise zero perturbation when inactive:
+handles are captured once (``self.trace = _obs_tracer.active()``) and
+every use sits behind a single ``is not None`` test.  A hook call that
+skips the null check crashes every uninstrumented run — or worse, gets
+"fixed" with a try/except that hides the cost asymmetry.
+
+``obs-ungated`` enforces the idiom for the simulated core
+(``SIM_SCOPE``) over the call graph.  It reports every ungated hook
+call written in a ``SIM_SCOPE`` module — in a function, a class body or
+module-level code — at the call.  It also walks call edges from every
+function in such a module into out-of-scope modules, and reports paths
+that reach an ungated handle call there, with the full chain as
+evidence: a hot-path function may delegate to a helper outside the
+scope.
 
 In-scope callees are deliberately not traversed: their ungated calls
-are already direct ``obs-ungated`` findings, and double-reporting the
-same site under two ids would force double suppressions.
+are already reported where they are written, and reporting the same
+site twice would force double suppressions.
 """
 
 from __future__ import annotations
@@ -29,11 +36,12 @@ __all__: list[str] = []
 
 _MAX_DEPTH = 6
 
-declare_rule("obs-ungated-transitive", SEV_ERROR,
-             "a simulated-core function calls an out-of-scope helper "
-             "that uses an observer/checker handle without the `is "
-             "not None` gate; the off path must stay one comparison "
-             "even across modules")
+declare_rule("obs-ungated", SEV_ERROR,
+             "calls into repro.obs / repro.check handles reached from "
+             "the simulated core, directly or through out-of-scope "
+             "helpers, must sit behind the single `is not None` null "
+             "check so the off path stays one comparison and "
+             "uninstrumented runs cannot crash")
 
 
 def _in_sim_scope(relpath: str) -> bool:
@@ -43,7 +51,8 @@ def _in_sim_scope(relpath: str) -> bool:
 @index_rule
 def check_transitive_gating(index: ProjectIndex,
                             project: Project) -> Iterator[Finding]:
-    """Walk SIM_SCOPE → out-of-scope call edges to ungated obs calls."""
+    """Report ungated obs calls in SIM_SCOPE modules, then walk SIM_SCOPE
+    → out-of-scope call edges to ungated obs calls."""
     sim_mods = [rel for rel in sorted(index.modules)
                 if _in_sim_scope(rel)]
     if not sim_mods:
@@ -52,6 +61,11 @@ def check_transitive_gating(index: ProjectIndex,
 
     for relpath in sim_mods:
         mod = index.modules[relpath]
+        for line, handle in mod.ungated_obs:
+            yield Finding(
+                rule="obs-ungated", path=relpath, line=line,
+                message=(f"hook call through {handle} is not guarded "
+                         f"by `if {handle} is not None:`"))
         for qname in sorted(mod.functions):
             root: FnKey = (relpath, qname)
             root_fn = mod.functions[qname]
@@ -84,7 +98,7 @@ def check_transitive_gating(index: ProjectIndex,
                         chain = (*hops, ChainHop(
                             key[0], line, f"{handle}.<hook>(...)"))
                         yield Finding(
-                            rule="obs-ungated-transitive",
+                            rule="obs-ungated",
                             path=relpath, line=hops[0].line,
                             message=(
                                 f"'{root_fn.qname}' reaches an "

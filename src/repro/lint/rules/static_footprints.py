@@ -1,19 +1,24 @@
 """Static AccessSet inference: the whole-program footprint rules.
 
-The per-file ``fp-undeclared-write`` rule only sees writes a function
-makes *itself*; a chunk body that delegates to a helper —
-``_replay(...)`` calling ``_wave_step(..., colors, ...)`` which does
-``colors[verts] = ...`` — slips past it, which is exactly the
-under-declared speculative access Rokos et al. (arXiv:1505.04086)
-identify as where coloring implementations go wrong.  These two rules
-close the gap over the project call graph:
+The happens-before checker (:mod:`repro.check`) only sees races on
+arrays a kernel *declares* in its AccessSet; an undeclared shared
+array is silently unchecked.  A chunk body may write such an array
+itself or delegate the write to a helper — ``_replay(...)`` calling
+``_wave_step(..., colors, ...)`` which does ``colors[verts] = ...`` —
+which is exactly the under-declared speculative access Rokos et al.
+(arXiv:1505.04086) identify as where coloring implementations go
+wrong.  Two rules check the declarations over the project call graph:
 
-* ``fp-undeclared-write-transitive`` (error) — a function in an
-  AccessSet-declaring kernel module passes a parameter array to a
-  callee (any module, any depth) that subscript-writes it, and no
-  ``.writes(...)`` in the kernel module covers that array name.  The
-  finding anchors at the call site and carries the full chain down to
-  the concrete write.
+* ``fp-undeclared-write`` (error) — a function in an
+  AccessSet-declaring kernel module subscript-writes one of its
+  parameter arrays, itself (every write site, closures included) or
+  through a callee in any module at any depth, and no ``.writes(...)``
+  in the kernel module covers that array name.  A direct write anchors
+  at the write; a delegated one anchors at the call site and carries
+  the full chain down to the concrete write.  Parameter arrays are the
+  shared state handed into chunk bodies, locals are scratch; annotate
+  genuine bookkeeping arrays (replay timestamps) with an inline
+  ``# repro: ignore[fp-undeclared-write] <why>``.
 * ``fp-overbroad-footprint`` (warning) — a ``.writes("name", ...)``
   declaration whose array is never written anywhere in the module,
   directly or through any resolved callee: dead weight that makes the
@@ -38,11 +43,11 @@ __all__: list[str] = []
 
 _KERNEL_FRAGMENT = "repro/kernels/"
 
-declare_rule("fp-undeclared-write-transitive", SEV_ERROR,
-             "a kernel function hands a parameter array to a helper "
-             "that writes it, but no AccessSet .writes(...) in the "
+declare_rule("fp-undeclared-write", SEV_ERROR,
+             "a kernel function writes a parameter array, itself or "
+             "through a helper, but no AccessSet .writes(...) in the "
              "kernel module declares the array — the race checker is "
-             "blind to it through the whole call chain")
+             "blind to races on it")
 declare_rule("fp-overbroad-footprint", SEV_WARNING,
              "an AccessSet declares .writes(...) on an array nothing "
              "in the module writes (directly or through helpers); "
@@ -58,8 +63,8 @@ def _chain_hops(chain: Chain) -> tuple[ChainHop, ...]:
 @index_rule
 def check_transitive_footprints(index: ProjectIndex,
                                 project: Project) -> Iterator[Finding]:
-    """Diff transitively inferred parameter writes against each kernel
-    module's declared AccessSet write footprints."""
+    """Diff direct and transitively inferred parameter writes against
+    each kernel module's declared AccessSet write footprints."""
     kernel_mods = [rel for rel in sorted(index.modules)
                    if _KERNEL_FRAGMENT in rel
                    and index.modules[rel].uses_access_sets]
@@ -76,23 +81,27 @@ def check_transitive_footprints(index: ProjectIndex,
             fn = mod.functions[qname]
             writes = inferred.get((relpath, qname), {})
             written_names.update(writes)
-            for name in sorted(writes):
-                chain = writes[name]
-                if len(chain) < 2:
-                    continue         # direct write: per-file rule's job
+            # Every direct write site, then every delegated write (a
+            # directly written name's inferred chain is its first site).
+            chains = [(name, ((relpath, line, f"writes {name}[...]"),))
+                      for name, line in sorted(set(fn.sub_writes))]
+            chains += [(name, writes[name]) for name in sorted(writes)
+                       if len(writes[name]) > 1]
+            for name, chain in chains:
                 if name not in fn.params or name in declared:
                     continue
-                anchor_line = chain[0][1]
+                hops = _chain_hops(chain)
+                if len(hops) == 1:
+                    what = f"'{qname}' writes parameter array '{name}'"
+                else:
+                    what = (f"'{qname}' passes parameter array '{name}' "
+                            f"down a call chain that writes it "
+                            f"({render_chain(hops)})")
                 yield Finding(
-                    rule="fp-undeclared-write-transitive",
-                    path=relpath, line=anchor_line,
-                    message=(
-                        f"'{qname}' passes parameter array '{name}' "
-                        f"down a call chain that writes it, but no "
-                        f"AccessSet in this module declares "
-                        f".writes({name!r}, ...); chain: "
-                        f"{render_chain(_chain_hops(chain))}"),
-                    chain=_chain_hops(chain))
+                    rule="fp-undeclared-write", path=relpath,
+                    line=hops[0].line, chain=hops,
+                    message=(f"{what}, but no AccessSet in this module "
+                             f"declares .writes({name!r}, ...)"))
         for name in sorted(declared - written_names):
             line = _declaration_line(project, relpath, name)
             yield Finding(
@@ -111,8 +120,7 @@ def _declaration_line(project: Project, relpath: str, name: str) -> int:
     payload = _payload_for(project, relpath)
     if payload is None:
         return 1
-    needles = (f'.writes("{name}"', f".writes('{name}'",
-               f'.benign_race("{name}"', f".benign_race('{name}'")
+    needles = (f'.writes("{name}"', f".writes('{name}'")
     for i, text in enumerate(payload.lines, start=1):
         if any(needle in text for needle in needles):
             return i

@@ -243,9 +243,13 @@ class TestResilience:
 
 
 class TestCheckpointResume:
+    """A crashed sweep resumes through the result store."""
+
     def test_resume_skips_finished_retries_failed(self, tmp_path):
         import math
-        path = tmp_path / "ck.json"
+
+        from repro.campaign.store import ResultStore
+        store = ResultStore(tmp_path)
         state = {"fail": True, "calls": []}
 
         def runner(g, v, t):
@@ -255,25 +259,18 @@ class TestCheckpointResume:
             return 100.0 / t
 
         p1 = run_panel("p", runner, ["A"], graphs=["g1"], threads=[1, 10],
-                       retries=0, checkpoint=path)
+                       retries=0, store=store)
         assert math.isnan(p1.per_graph[("A", "g1")][1])
-        assert path.exists()
+        assert len(store) == 1               # only the finite cell
 
         state["fail"] = False
         first_pass = list(state["calls"])
         p2 = run_panel("p", runner, ["A"], graphs=["g1"], threads=[1, 10],
-                       retries=0, checkpoint=path)
+                       retries=0, store=store)
         resumed = state["calls"][len(first_pass):]
         assert resumed == [("g1", "A", 10)]  # finite cell skipped, NaN retried
         assert not p2.failures
         assert p2.series["A"][1] == pytest.approx(10.0)
-
-    def test_checkpoint_default_from_env(self, tmp_path, monkeypatch):
-        path = tmp_path / "env.json"
-        monkeypatch.setenv("REPRO_CHECKPOINT", str(path))
-        run_panel("p", TestRunPanel.runner, ["fast"], graphs=["g1"],
-                  threads=[1])
-        assert path.exists()
 
 
 class TestParallelPanel:

@@ -7,6 +7,8 @@ clean twin of the seeded violation, so rules cannot pass by flagging
 everything.
 """
 
+import pytest
+
 from tests.lint.conftest import rules_fired
 
 # ---------------------------------------------------------------- determinism
@@ -147,12 +149,27 @@ def test_env_write_with_reader_is_clean(run_lint):
 # ------------------------------------------------------------ observer gating
 
 
-def test_obs_ungated_fires(run_lint):
-    result = run_lint({"repro/sim/hooks.py": """\
+@pytest.mark.parametrize("source", [
+    """\
         class Engine:
             def step(self):
                 self._trace.on_event("step", 1.0)
-        """})
+        """,
+    # module-level code runs in no function body
+    """\
+        from repro.obs.tracer import active
+
+        trace = active()
+        trace.on_event("import", 0.0)
+        """,
+    # neither does a class body
+    """\
+        class Engine:
+            trace.on_event("define", 0.0)
+        """,
+], ids=["method", "module-level", "class-body"])
+def test_obs_ungated_fires(run_lint, source):
+    result = run_lint({"repro/sim/hooks.py": source})
     assert "obs-ungated" in rules_fired(result)
 
 
@@ -196,8 +213,16 @@ def test_fp_with_access_is_clean(run_lint):
     assert "fp-missing-access" not in rules_fired(result)
 
 
-def test_fp_undeclared_write_fires(run_lint):
-    result = run_lint({"repro/kernels/replay.py": """\
+_FP_FOOTPRINT = """\
+    from repro.kernels.base import AccessSet
+
+    def footprint():
+        return AccessSet("k").writes("colors", lambda lo, hi: [])
+    """
+
+
+@pytest.mark.parametrize("source, undeclared", [
+    ("""\
         from repro.kernels.base import AccessSet
 
         def footprint():
@@ -206,11 +231,49 @@ def test_fp_undeclared_write_fires(run_lint):
         def replay(colors, write_time, idx):
             colors[idx] = 1
             write_time[idx] = 2.0
-        """})
+        """, "write_time"),
+    # a chunk-body closure writes its enclosing function's parameter
+    (_FP_FOOTPRINT + """
+    def simulate(colors, stamp):
+        def body(lo, hi):
+            colors[lo:hi] = 1
+            stamp[lo:hi] = 2
+        return body
+    """, "stamp"),
+    # a *args parameter is a parameter too
+    (_FP_FOOTPRINT + """
+    def replay(colors, *stamps):
+        colors[0] = 1
+        stamps[0] = 2
+    """, "stamps"),
+    # benign_race annotates races; it declares no written cells
+    ("""\
+        from repro.kernels.base import AccessSet
+
+        def footprint():
+            return (AccessSet("k").writes("colors", lambda lo, hi: [])
+                    .benign_race("flags", "idempotent flag set"))
+
+        def replay(colors, flags, idx):
+            colors[idx] = 1
+            flags[idx] = 1
+        """, "flags"),
+    # a def inside an except handler is still a function
+    (_FP_FOOTPRINT + """
+    try:
+        from fastpath import replay
+    except ImportError:
+        def replay(colors, stamp, idx):
+            colors[idx] = 1
+            stamp[idx] = 2
+    """, "stamp"),
+], ids=["direct", "closure", "varargs", "benign-race", "except-handler"])
+def test_fp_undeclared_write_fires(run_lint, source, undeclared):
+    result = run_lint({"repro/kernels/replay.py": source})
     findings = [f for f in result.findings
                 if f.rule == "fp-undeclared-write"]
-    assert len(findings) == 1            # colors is declared, write_time not
-    assert "write_time" in findings[0].message
+    assert len(findings) == 1            # colors is declared, the other not
+    assert undeclared in findings[0].message
 
 
 def test_fp_write_inference_skips_modules_without_access_sets(run_lint):

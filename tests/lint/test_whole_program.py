@@ -74,7 +74,7 @@ def test_transitive_undeclared_write_names_full_chain(run_lint):
     result = run_lint({"repro/kernels/alpha.py": _KERNEL_CALLER,
                        "repro/support.py": _KERNEL_HELPER})
     hits = [f for f in result.findings
-            if f.rule == "fp-undeclared-write-transitive"]
+            if f.rule == "fp-undeclared-write"]
     assert len(hits) == 1
     finding = hits[0]
     assert finding.path == "repro/kernels/alpha.py"
@@ -95,14 +95,14 @@ def test_transitive_footprint_suppressed_at_caller(run_lint):
 
         def chunk(lo, hi, colors, out):
             out[lo] = 0
-            # repro: ignore[fp-undeclared-write-transitive] replay
+            # repro: ignore[fp-undeclared-write] replay
             # bookkeeping, not simulated shared state
             scatter(colors, lo, hi)
         """
     result = run_lint({"repro/kernels/alpha.py": caller,
                        "repro/support.py": _KERNEL_HELPER})
-    assert "fp-undeclared-write-transitive" not in rules_fired(result)
-    assert any(f.rule == "fp-undeclared-write-transitive"
+    assert "fp-undeclared-write" not in rules_fired(result)
+    assert any(f.rule == "fp-undeclared-write"
                for f in result.suppressed)
 
 
@@ -250,7 +250,7 @@ def test_ungated_helper_reached_from_sim_scope(run_lint):
     result = run_lint({"repro/sim/engine.py": _OBS_CALLER,
                        "repro/telemetry.py": _OBS_HELPER})
     hits = [f for f in result.findings
-            if f.rule == "obs-ungated-transitive"]
+            if f.rule == "obs-ungated"]
     assert len(hits) == 1
     finding = hits[0]
     assert finding.path == "repro/sim/engine.py"
@@ -265,18 +265,18 @@ def test_gated_helper_is_clean(run_lint):
             if trace is not None:
                 trace.hit(value)
         """})
-    assert "obs-ungated-transitive" not in rules_fired(result)
+    assert "obs-ungated" not in rules_fired(result)
 
 
 def test_obs_transitive_suppressed_at_helper_end(run_lint):
     helper = """\
         def note(trace, value):
-            # repro: ignore[obs-ungated-transitive] caller owns the gate
+            # repro: ignore[obs-ungated] caller owns the gate
             trace.hit(value)
         """
     result = run_lint({"repro/sim/engine.py": _OBS_CALLER,
                        "repro/telemetry.py": helper})
-    assert "obs-ungated-transitive" not in rules_fired(result)
+    assert "obs-ungated" not in rules_fired(result)
 
 
 # ------------------------------------------- fingerprints, baseline, chains
@@ -286,7 +286,7 @@ def test_fingerprint_stable_when_callee_moves_files(run_lint, tmp_path):
     first = run_lint({"repro/kernels/alpha.py": _KERNEL_CALLER,
                       "repro/support.py": _KERNEL_HELPER})
     fp_a = [f.fingerprint for f in first.findings
-            if f.rule == "fp-undeclared-write-transitive"]
+            if f.rule == "fp-undeclared-write"]
 
     moved_caller = _KERNEL_CALLER.replace("repro.support",
                                           "repro.other.helpers")
@@ -294,7 +294,7 @@ def test_fingerprint_stable_when_callee_moves_files(run_lint, tmp_path):
     second = run_lint({"repro/kernels/alpha.py": moved_caller,
                        "repro/other/helpers.py": _KERNEL_HELPER})
     fp_b = [f.fingerprint for f in second.findings
-            if f.rule == "fp-undeclared-write-transitive"]
+            if f.rule == "fp-undeclared-write"]
     assert fp_a and fp_a == fp_b     # chain is not part of the identity
 
 
