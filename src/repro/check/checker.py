@@ -1,12 +1,12 @@
 """Happens-before race detector over the simulated machine (``repro.check``).
 
-A :class:`Checker` is an opt-in observer, activated exactly like the
-:mod:`repro.obs` tracer: instrumentation sites in the engine, the
-resources and the runtimes capture ``active()`` once at construction and
-null-check it per use, so an unchecked run pays one ``is not None`` test
-per potential event and a checked run perturbs **zero simulated cycles**
-(the checker never feeds back into the simulation — a property the tests
-and CI assert).
+A :class:`Checker` is an opt-in :class:`~repro.sim.hooks.Hooks`
+instrument: its ``on_*`` methods override the simulated core's event
+vocabulary, and it shares the one install slot with the :mod:`repro.obs`
+tracer (never beside it).  An unchecked run pays one ``is not None``
+test per potential event and a checked run perturbs **zero simulated
+cycles** (the checker never feeds back into the simulation — a property
+the tests and CI assert).
 
 Shadow state:
 
@@ -38,8 +38,8 @@ actually depends on every minted edge.
 from __future__ import annotations
 
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import ContextManager
 
 import numpy as np
 
@@ -47,6 +47,8 @@ from repro.check.clocks import VectorClock, ordered_before
 from repro.check.report import (SEV_ERROR, SEV_WARNING, CheckReport,
                                 Finding)
 from repro.obs import metrics as _obs_metrics
+from repro.sim import hooks as _hooks
+from repro.sim.hooks import Hooks
 
 __all__ = ["Checker", "active", "install", "uninstall", "checking",
            "DROP_EDGE_KINDS"]
@@ -60,40 +62,26 @@ DROP_EDGE_KINDS = frozenset(
 #: pair), so this only trips on pathologically broken runs.
 MAX_FINDINGS = 500
 
-#: The active checker (None = checking disabled; the common case).
-_ACTIVE: "Checker | None" = None
-
-
 def active() -> "Checker | None":
-    """The installed checker, or None when checking is off."""
-    return _ACTIVE
+    """The installed checker (None when off or a tracer is installed)."""
+    hooks = _hooks.active()
+    return hooks if isinstance(hooks, Checker) else None
 
 
 def install(checker: "Checker") -> None:
-    """Make *checker* the active checker (fails if one already is)."""
-    global _ACTIVE
-    if _ACTIVE is not None:
-        raise RuntimeError("a checker is already installed")
-    if not isinstance(checker, Checker):
-        raise TypeError(f"expected a Checker, got {checker!r}")
-    _ACTIVE = checker
+    """Install *checker* in the simulated core's one hook slot."""
+    _hooks.install(checker, Checker)
 
 
 def uninstall() -> None:
-    """Deactivate the active checker (no-op when none is installed)."""
-    global _ACTIVE
-    _ACTIVE = None
+    """Remove the installed checker (no-op when none is installed)."""
+    _hooks.uninstall(Checker)
 
 
-@contextmanager
-def checking(checker: "Checker | None" = None):
+def checking(checker: "Checker | None" = None) -> ContextManager["Checker"]:
     """Context manager: install a (new by default) checker, yield it."""
-    checker = checker if checker is not None else Checker()
-    install(checker)
-    try:
-        yield checker
-    finally:
-        uninstall()
+    return _hooks.installed(checker if checker is not None else Checker(),
+                            Checker)
 
 
 @dataclass
@@ -144,7 +132,7 @@ class _LoopState:
         return (self.index, tid)
 
 
-class Checker:
+class Checker(Hooks):
     """Dynamic happens-before + lockset checker (see module docstring)."""
 
     def __init__(self, drop_edges=(), max_findings: int = MAX_FINDINGS):
@@ -166,7 +154,8 @@ class Checker:
 
     # ----- region lifecycle -------------------------------------------------
 
-    def begin_loop(self, label: str, n_threads: int, access=None) -> None:
+    def begin_loop(self, label: str, n_threads: int, access=None,
+                   items: int = 0) -> None:
         """A parallel region is starting; fork the thread clocks."""
         if self._loop is not None:
             # A region died mid-flight (watchdog/deadlock); fold what we saw.
@@ -188,7 +177,8 @@ class Checker:
         self.report.count("loops")
         self.report.loops.append(label)
 
-    def end_loop(self, span: float = 0.0) -> None:
+    def end_loop(self, label: str = "", end: float = 0.0,
+                 span: float = 0.0) -> None:
         """The region's engine drained; analyse and absorb its clocks."""
         st = self._loop
         if st is None:
@@ -225,7 +215,8 @@ class Checker:
 
     # ----- engine events ----------------------------------------------------
 
-    def on_barrier(self, obj, tids: list, now: float) -> None:
+    def on_barrier(self, obj, tids: list, now: float,
+                   release: float) -> None:
         """A barrier released *tids* together (all-to-all join)."""
         st = self._loop
         if st is None or not tids:
@@ -253,17 +244,19 @@ class Checker:
                 vc.tick(st.comp(tid))
                 st.clocks[tid] = vc
 
-    def on_cond_fire(self, obj, tid: int | None) -> None:
-        """A condition fired; waiters happen-after the firer."""
+    def on_cond_fire(self, obj, tid: int | None, waiters: list,
+                     now: float) -> None:
+        """A condition fired: waiters, now and later, happen-after *tid*."""
         st = self._loop
         if st is None or "cond" in self.drop_edges:
             return
         vc = st.clocks.get(tid)
-        if vc is None:
-            return
-        o = st.objs.setdefault(id(obj), VectorClock())
-        o.join(vc)
-        vc.tick(st.comp(tid))
+        if vc is not None:
+            o = st.objs.setdefault(id(obj), VectorClock())
+            o.join(vc)
+            vc.tick(st.comp(tid))
+        for waiter in waiters:
+            self.on_cond_wake(obj, waiter)
 
     def on_cond_wake(self, obj, tid: int | None) -> None:
         """A process resumed from a condition wait."""
@@ -275,7 +268,7 @@ class Checker:
         if vc is not None and o is not None:
             vc.join(o)
 
-    def on_kill(self, tid: int | None) -> None:
+    def on_kill(self, tid: int | None, now: float) -> None:
         """A simulated thread was killed (fault injection)."""
         if self._loop is None:
             return
@@ -295,7 +288,8 @@ class Checker:
         st.objs[id(obj)] = vc.copy()
         vc.tick(st.comp(tid))
 
-    def on_rmw(self, var, tid: int | None) -> None:
+    def on_rmw(self, var, tid: int | None, now: float, start: float,
+               done: float) -> None:
         """An atomic RMW completed (e.g. a chunk-counter fetch-and-add).
 
         Minting an edge here orders the *dispatches* through the shared
@@ -306,7 +300,8 @@ class Checker:
         if "atomic" not in self.drop_edges:
             self._acq_rel(var, tid)
 
-    def on_lock(self, lock, tid: int | None, start: float, done: float) -> None:
+    def on_lock(self, lock, tid: int | None, now: float, start: float,
+                done: float) -> None:
         """A ticket-lock critical section ``[start, done)`` was reserved."""
         st = self._loop
         if st is None or tid not in st.clocks:
@@ -350,7 +345,8 @@ class Checker:
         st.chunks_since_trip += 1
         self.report.count("chunks")
 
-    def on_tls(self, tid: int) -> None:
+    def on_tls(self, tid: int, start: float, end: float,
+               lazy: bool) -> None:
         """Thread *tid* initialised its thread-local scratch state."""
         st = self._loop
         vc = None if st is None else st.clocks.get(tid)
@@ -376,7 +372,7 @@ class Checker:
         if st is not None and st.shadow.get(wid):
             st.shadow[wid].pop()
 
-    def on_steal(self, thief: int, victim: int) -> None:
+    def on_steal(self, thief: int, victim: int, now: float) -> None:
         """*thief* stole the top of *victim*'s deque: edge from push time.
 
         A ``None`` snapshot marks an initially-dealt range (its push

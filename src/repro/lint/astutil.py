@@ -15,9 +15,9 @@ __all__ = ["add_parents", "parent", "ancestors", "same_expr",
            "guards_with_not_none", "call_name", "const_str",
            "HANDLE_NAMES", "handle_base"]
 
-#: Attribute/variable names that hold an observer or checker handle
-#: (None when no instrument is installed) — the observer-gating idiom.
-HANDLE_NAMES = ("trace", "_trace", "check", "_check", "tracer")
+#: Names that hold an instrument handle (None when nothing is installed):
+#: the simulated core's ``Engine.hooks``, a tracer view, the metrics registry.
+HANDLE_NAMES = ("hooks", "tracer", "registry")
 
 _PARENT = "_repro_lint_parent"
 
@@ -57,8 +57,8 @@ def same_expr(a: ast.AST, b: ast.AST) -> bool:
 def import_bound_names(tree: ast.Module) -> set[str]:
     """Names bound at module level by ``import`` / ``from ... import``.
 
-    Rules use this to tell a module alias (``from repro.check import
-    checker as _check``) apart from a same-named instance handle.
+    Rules use this to tell a module alias (``from repro.sim import
+    hooks``) apart from a same-named instance handle.
     """
     bound: set[str] = set()
     for node in ast.walk(tree):
@@ -88,11 +88,11 @@ def call_name(call: ast.Call) -> str | None:
 
 
 def handle_base(call: ast.Call) -> ast.expr | None:
-    """The observer/checker handle a hook call goes through, if any.
+    """The instrument handle a hook call goes through, if any.
 
-    ``ctx.trace.span(...)`` → ``ctx.trace``; ``self._check.on_rmw(...)``
-    → ``self._check``; ``engine.check.on_barrier(...)`` →
-    ``engine.check``.  Plain names (``trace.end(...)``) match too.
+    ``self.engine.hooks.on_chunk(...)`` → ``self.engine.hooks``;
+    ``self.hooks.on_rmw(...)`` → ``self.hooks``.  Plain names
+    (``hooks.on_steal(...)``, ``registry.counter(...)``) match too.
     """
     func = call.func
     if not isinstance(func, ast.Attribute):

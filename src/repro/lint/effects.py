@@ -12,7 +12,7 @@ cross-module rules reason about:
   of static :class:`~repro.kernels.base.AccessSet` inference;
 * ``open(...)`` sites with their mode and a tmp-file heuristic — the
   raw material of the crash-safety write-protocol rule;
-* calls through observer/checker handles that are *not* behind the
+* calls through instrument handles that are *not* behind the
   ``is not None`` gate — the raw material of the observer-gating
   rule (:func:`ungated_obs_calls` lists them for a whole module,
   module-level and class-body code included).
@@ -166,8 +166,8 @@ def _ungated_handle(call: ast.Call, import_bound: set[str]) -> str | None:
     """The handle text of an observer hook call missing its ``is not
     None`` gate, else None.
 
-    A bare name bound by an import (``from repro.check import checker
-    as _check``) is a module alias, not a handle.
+    A bare name bound by an import (``from repro.sim import hooks``) is
+    a module alias, not a handle.
     """
     handle = handle_base(call)
     if handle is None or guards_with_not_none(call, handle):

@@ -1,11 +1,11 @@
-"""Observer gating: telemetry/checker hooks stay one comparison when off.
+"""Observer gating: instrument hooks stay one comparison when off.
 
-The telemetry (:mod:`repro.obs`) and concurrency-checking
-(:mod:`repro.check`) layers promise zero perturbation when inactive:
-handles are captured once (``self.trace = _obs_tracer.active()``) and
-every use sits behind a single ``is not None`` test.  A hook call that
-skips the null check crashes every uninstrumented run — or worse, gets
-"fixed" with a try/except that hides the cost asymmetry.
+The tracer and the checker reach the simulated core through one hook
+handle (``self.hooks = _hooks.active()``, :mod:`repro.sim.hooks`), the
+metrics layer through ``registry = _obs_metrics.active()``; every call
+through either sits behind a single ``is not None`` test.  A call that
+skips it crashes every uninstrumented run — or worse, gets "fixed" with
+a try/except that hides the cost asymmetry.
 
 ``obs-ungated`` enforces the idiom for the simulated core
 (``SIM_SCOPE``) over the call graph.  It reports every ungated hook
@@ -37,11 +37,11 @@ __all__: list[str] = []
 _MAX_DEPTH = 6
 
 declare_rule("obs-ungated", SEV_ERROR,
-             "calls into repro.obs / repro.check handles reached from "
-             "the simulated core, directly or through out-of-scope "
-             "helpers, must sit behind the single `is not None` null "
-             "check so the off path stays one comparison and "
-             "uninstrumented runs cannot crash")
+             "calls through instrument handles (hooks, tracer, metrics "
+             "registry) reached from the simulated core, directly or "
+             "through out-of-scope helpers, must sit behind the single "
+             "`is not None` null check so the off path stays one "
+             "comparison and uninstrumented runs cannot crash")
 
 
 def _in_sim_scope(relpath: str) -> bool:

@@ -22,6 +22,7 @@ small and numerous so mid-chunk occupancy drift averages out (DESIGN.md §3).
 from __future__ import annotations
 
 from repro.machine.config import MachineConfig
+from repro.sim.hooks import Hooks
 from repro.sim.resources import MemoryChannel
 
 __all__ = ["Core", "Chip"]
@@ -52,10 +53,12 @@ class Chip:
     """A full machine instance: cores plus the shared memory channel.
 
     One ``Chip`` is created per simulated parallel region; its state
-    (core occupancy, channel bank reservations) is transient.
+    (core occupancy, channel bank reservations) is transient; ``hooks``
+    (the region engine's instrument) goes to the memory channel.
     """
 
-    def __init__(self, config: MachineConfig, n_threads: int, faults=None):
+    def __init__(self, config: MachineConfig, n_threads: int, faults=None,
+                 hooks: Hooks | None = None):
         if n_threads < 1:
             raise ValueError(f"n_threads must be >= 1, got {n_threads}")
         if n_threads > config.max_threads:
@@ -66,7 +69,8 @@ class Chip:
         self.n_threads = n_threads
         self.faults = faults  # optional repro.sim.faults.FaultInjector
         self.cores = [Core(i) for i in range(config.n_cores)]
-        self.channel = MemoryChannel(config.mem_banks, config.dram_transfer_cycles)
+        self.channel = MemoryChannel(config.mem_banks,
+                                     config.dram_transfer_cycles, hooks=hooks)
 
     def core_of(self, thread: int) -> Core:
         """Scatter placement: thread *i* lives on core ``i % n_cores``.

@@ -42,7 +42,10 @@ class Observer:
     Either half can be disabled (``Observer(trace=False)`` records only
     metrics), matching the CLI's independent ``--trace`` / ``--metrics``
     flags.  Simulations started inside the block are instrumented;
-    everything outside pays nothing.
+    everything outside pays nothing.  The tracer takes the simulated
+    core's one instrument slot (:mod:`repro.sim.hooks`) and is installed
+    first, so entering while a checker holds that slot raises before any
+    registry is installed.
     """
 
     def __init__(self, trace: bool = True, metrics: bool = True):

@@ -7,10 +7,12 @@ Chrome trace-event JSON consumed by Perfetto / ``chrome://tracing``
 
 Design constraints (DESIGN.md "Observability"):
 
-* **Off by default, null-check cheap.**  Instrumentation sites capture
-  the active tracer once at construction time (``active()``) and guard
-  every record with ``if tracer is not None`` — an uninstrumented run
-  pays one attribute test per *potential* event and nothing else.
+* **Off by default, null-check cheap.**  A :class:`Tracer` is a
+  :class:`~repro.sim.hooks.Hooks` instrument in the simulated core's one
+  install slot: every site makes one semantic call (``on_chunk``,
+  ``on_rmw``, ...) behind one ``if hooks is not None`` test, and the
+  overrides below are the only code choosing span names, ``PID_*``
+  tracks, track keys and event args.
 * **Purely observational.**  The tracer never feeds back into the
   simulation: enabling it cannot change a single simulated cycle (a
   property the tests assert).
@@ -34,7 +36,14 @@ export time).
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from typing import TYPE_CHECKING, ContextManager, Sequence
+
+from repro.sim import hooks as _hooks
+from repro.sim.hooks import Hooks
+
+if TYPE_CHECKING:
+    from repro.sim.engine import Barrier, Condition
+    from repro.sim.resources import AtomicVar, MemoryChannel, TicketLock
 
 __all__ = ["Tracer", "active", "install", "uninstall", "tracing",
            "PID_THREADS", "PID_RESOURCES", "PID_ENGINE", "PROCESS_NAMES",
@@ -84,48 +93,29 @@ def span_bucket(name: str) -> str:
     return SPAN_BUCKETS.get(name, f"other:{name}")
 
 
-#: The active tracer (None = tracing disabled; the common case).
-_ACTIVE: "Tracer | None" = None
-
-
 def active() -> "Tracer | None":
-    """The installed tracer, or None when tracing is off.
-
-    Instrumentation sites call this once per object construction and
-    keep the result, so the per-event cost of disabled tracing is a
-    single ``is not None`` test.
-    """
-    return _ACTIVE
+    """The installed tracer (None when off or a checker is installed)."""
+    hooks = _hooks.active()
+    return hooks if isinstance(hooks, Tracer) else None
 
 
 def install(tracer: "Tracer") -> None:
-    """Make *tracer* the active tracer (fails if one is already active)."""
-    global _ACTIVE
-    if _ACTIVE is not None:
-        raise RuntimeError("a tracer is already installed")
-    if not isinstance(tracer, Tracer):
-        raise TypeError(f"expected a Tracer, got {tracer!r}")
-    _ACTIVE = tracer
+    """Install *tracer* in the simulated core's one hook slot."""
+    _hooks.install(tracer, Tracer)
 
 
 def uninstall() -> None:
-    """Deactivate the active tracer (no-op when none is installed)."""
-    global _ACTIVE
-    _ACTIVE = None
+    """Remove the installed tracer (no-op when none is installed)."""
+    _hooks.uninstall(Tracer)
 
 
-@contextmanager
-def tracing(tracer: "Tracer | None" = None):
+def tracing(tracer: "Tracer | None" = None) -> ContextManager["Tracer"]:
     """Context manager: install a (new by default) tracer, yield it."""
-    tracer = tracer if tracer is not None else Tracer()
-    install(tracer)
-    try:
-        yield tracer
-    finally:
-        uninstall()
+    return _hooks.installed(tracer if tracer is not None else Tracer(),
+                            Tracer)
 
 
-class Tracer:
+class Tracer(Hooks):
     """Append-only recorder of spans and instant events.
 
     Events are stored as plain dicts already shaped like Chrome
@@ -195,3 +185,78 @@ class Tracer:
     def open_spans(self) -> dict:
         """``(pid, tid) -> open span count`` for tracks with unclosed spans."""
         return {k: d for k, d in self._depth.items() if d > 0}
+
+    # ----- hook events: the only place span names and tracks are chosen -----
+
+    def begin_loop(self, label: str, n_threads: int, access: object,
+                   items: int) -> None:
+        self.begin(f"loop:{label}", PID_ENGINE, 0, 0.0,
+                   threads=n_threads, items=items)
+
+    def end_loop(self, label: str, end: float, span: float) -> None:
+        self.end(f"loop:{label}", PID_ENGINE, 0, end)
+        self.advance(span)
+
+    def on_timeout(self, now: float, kind: str,
+                   blocked: Sequence[str]) -> None:
+        self.instant("watchdog-timeout", PID_ENGINE, 0, now, kind=kind,
+                     blocked=list(blocked))
+
+    def on_deadlock(self, now: float, blocked: Sequence[str]) -> None:
+        self.instant("deadlock", PID_ENGINE, 0, now, blocked=list(blocked))
+
+    def on_kill(self, tid: int | None, now: float) -> None:
+        if tid is not None:
+            self.instant("killed", PID_THREADS, tid, now)
+
+    def on_barrier_wait(self, tid: int | None, now: float) -> None:
+        if tid is not None:
+            self.begin("barrier-wait", PID_THREADS, tid, now)
+
+    def on_barrier(self, barrier: Barrier, tids: list[int], now: float,
+                   release: float) -> None:
+        for tid in tids:
+            self.end("barrier-wait", PID_THREADS, tid, release)
+
+    def on_cond_wait(self, tid: int | None, now: float) -> None:
+        if tid is not None:
+            self.begin("cond-wait", PID_THREADS, tid, now)
+
+    def on_cond_fire(self, cond: Condition, tid: int | None,
+                     waiters: list[int], now: float) -> None:
+        for waiter in waiters:
+            self.end("cond-wait", PID_THREADS, waiter, now)
+
+    def on_rmw(self, var: AtomicVar, tid: int | None, now: float,
+               start: float, done: float) -> None:
+        self.span("rmw", PID_RESOURCES, var.label, start, done,
+                  wait=start - now)
+
+    def on_lock(self, lock: TicketLock, tid: int | None, now: float,
+                start: float, done: float) -> None:
+        self.span("lock", PID_RESOURCES, lock.label, start, done,
+                  wait=start - now)
+
+    def on_xfer(self, channel: MemoryChannel, bank: int, now: float,
+                start: float, done: float, lines: float) -> None:
+        # One track per bank: service intervals on a bank are disjoint,
+        # so the B/E spans nest trivially.
+        self.span("xfer", PID_RESOURCES, f"{channel.label}-bank{bank}",
+                  start, done, lines=lines, wait=start - now)
+
+    def on_chunk(self, tid: int, lo: int, hi: int, start: float,
+                 end: float) -> None:
+        self.span("chunk", PID_THREADS, tid, start, end, lo=lo, hi=hi)
+
+    def on_hang(self, tid: int, start: float, end: float) -> None:
+        self.span("hang", PID_THREADS, tid, start, end)
+
+    def on_tls(self, tid: int, start: float, end: float, lazy: bool) -> None:
+        self.span("tls-init", PID_THREADS, tid, start, end, lazy=lazy)
+
+    def on_steal(self, thief: int, victim: int, now: float) -> None:
+        self.instant("steal", PID_THREADS, thief, now, victim=victim)
+
+    def request_span(self, route: str, start: float, end: float) -> None:
+        """A served HTTP request on *route* (not a simulated-core event)."""
+        self.span(f"serve:{route}", 0, "serve", start, end)

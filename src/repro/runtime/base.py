@@ -24,7 +24,6 @@ from repro.machine.core import Chip
 from repro.machine.costs import WorkCosts
 from repro.obs import metrics as _obs_metrics
 from repro.obs.metrics import MetricsFrame
-from repro.obs.tracer import PID_ENGINE, PID_THREADS
 from repro.sim.engine import Barrier, Engine
 from repro.sim.stats import ChunkExec, LoopStats
 
@@ -213,17 +212,15 @@ class LoopContext:
 
     def __post_init__(self):
         max_events, max_time = _watchdog_budgets()
+        # Every hook site below (and the chip's channel) reads the
+        # engine's instrument, ``engine.hooks``, behind one null check.
         self.engine = Engine(max_events=max_events, max_time=max_time)
-        self.chip = Chip(self.config, self.n_threads, faults=self.faults)
+        self.chip = Chip(self.config, self.n_threads, faults=self.faults,
+                         hooks=self.engine.hooks)
         self.barrier = Barrier(self.engine, self.n_threads,
                                cost_fn=self.config.barrier_cost)
         self.procs: dict[int, object] = {}
         self.label = ""
-        # Telemetry (repro.obs) and checking (repro.check): handles
-        # captured once per loop and null-checked per use, so
-        # uninstrumented runs pay nothing more.
-        self.trace = self.engine.trace
-        self.check = self.engine.check
         self._post_run: list[Callable] = []
 
     def post_run(self, hook: Callable) -> None:
@@ -240,11 +237,10 @@ class LoopContext:
         armed after all workers exist so every victim is addressable.
         """
         self.label = prefix
-        if self.trace is not None:
-            self.trace.begin(f"loop:{prefix}", PID_ENGINE, 0, 0.0,
-                             threads=self.n_threads, items=len(self.work))
-        if self.check is not None:
-            self.check.begin_loop(prefix, self.n_threads, self.access)
+        hooks = self.engine.hooks
+        if hooks is not None:
+            hooks.begin_loop(prefix, self.n_threads, self.access,
+                             len(self.work))
         for tid in range(self.n_threads):
             self.procs[tid] = self.engine.spawn(body(tid),
                                                 name=f"{prefix}-w{tid}",
@@ -279,9 +275,9 @@ class LoopContext:
                 self.stats.hang_cycles += hang
                 self.stats.hangs.append((tid, self.engine.now,
                                          self.engine.now + hang))
-                if self.trace is not None:
-                    self.trace.span("hang", PID_THREADS, tid, self.engine.now,
-                                    self.engine.now + hang)
+                hooks = self.engine.hooks
+                if hooks is not None:
+                    hooks.on_hang(tid, self.engine.now, self.engine.now + hang)
                 yield hang
         compute, stall, volume = self.work.range_cost(lo, hi)
         core = self.chip.core_of(tid)
@@ -292,28 +288,25 @@ class LoopContext:
         core.finish()
         self.stats.busy_cycles += duration
         self.stats.chunks.append(ChunkExec(lo, hi, tid, start, self.engine.now))
-        if self.trace is not None:
-            self.trace.span("chunk", PID_THREADS, tid, start, self.engine.now,
-                            lo=lo, hi=hi)
-        if self.check is not None:
-            self.check.on_chunk(tid, lo, hi, start, self.engine.now)
+        hooks = self.engine.hooks
+        if hooks is not None:
+            hooks.on_chunk(tid, lo, hi, start, self.engine.now)
 
     def init_tls(self, tid: int, tls_entries: int, lazy: bool):
         """Generator fragment: pay a thread's scratch-state first touch.
 
         Accounts the time in ``LoopStats.tls_cycles`` (a component of the
-        telemetry frame's cycle breakdown) and traces it as a span; the
+        telemetry frame's cycle breakdown) and reports it as ``on_tls``; the
         ``tls_inits`` *count* stays runtime-specific (eager runtimes set
         it per region, lazy runtimes per first touch).
         """
         cycles = self.tls_first_touch_cycles(tls_entries, lazy)
         if cycles:
             self.stats.tls_cycles += cycles
-            if self.trace is not None:
-                self.trace.span("tls-init", PID_THREADS, tid, self.engine.now,
-                                self.engine.now + cycles, lazy=lazy)
-            if self.check is not None:
-                self.check.on_tls(tid)
+            hooks = self.engine.hooks
+            if hooks is not None:
+                hooks.on_tls(tid, self.engine.now, self.engine.now + cycles,
+                             lazy)
             yield cycles
 
     def tls_first_touch_cycles(self, tls_entries: int, lazy: bool) -> float:
@@ -343,11 +336,9 @@ class LoopContext:
             self.faults.end_loop(self.stats.span)
         for hook in self._post_run:
             hook()
-        if self.check is not None:
-            self.check.end_loop(self.stats.span)
-        if self.trace is not None:
-            self.trace.end(f"loop:{self.label}", PID_ENGINE, 0, end)
-            self.trace.advance(self.stats.span)
+        hooks = self.engine.hooks
+        if hooks is not None:
+            hooks.end_loop(self.label, end, self.stats.span)
         self._emit_frame()
         return self.stats
 

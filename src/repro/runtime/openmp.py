@@ -105,7 +105,8 @@ def _spawn_shared_counter(ctx: LoopContext, chunk: int, tls_entries: int,
     The engine delivers RMWs in simulated-time order, so advancing a plain
     Python cursor inside each granted fetch reproduces FIFO semantics.
     """
-    counter = AtomicVar(ctx.config.atomic_cycles, label="omp-chunk-counter")
+    counter = AtomicVar(ctx.config.atomic_cycles, label="omp-chunk-counter",
+                        hooks=ctx.engine.hooks)
     cursor = [0]
     n, t = len(ctx.work), ctx.n_threads
 

@@ -19,7 +19,6 @@ from collections import deque as _deque
 import numpy as np
 
 from repro.obs import metrics as _obs_metrics
-from repro.obs.tracer import PID_THREADS
 from repro.runtime.base import LoopContext
 from repro.sim.engine import Condition
 
@@ -88,8 +87,10 @@ def run_work_stealing(
         fired, signal[0] = signal[0], Condition(ctx.engine)
         fired.fire(tid=wid)
 
-    # Telemetry (repro.obs): captured once per loop, null-checked per use.
+    # The metrics registry and the engine's instrument: captured once per
+    # loop, null-checked per use.
     registry = _obs_metrics.active()
+    hooks = ctx.engine.hooks
 
     def body(wid: int):
         my = deques[wid]
@@ -104,14 +105,14 @@ def run_work_stealing(
             ctx.fault_point(wid)
             if my:
                 lo, hi = my.pop()
-                if ctx.check is not None:
-                    ctx.check.on_pop(wid)
+                if hooks is not None:
+                    hooks.on_pop(wid)
                 while hi - lo > split_threshold:
                     mid = (lo + hi) // 2
                     was_empty = not my
                     my.append((mid, hi))
-                    if ctx.check is not None:
-                        ctx.check.on_push(wid)
+                    if hooks is not None:
+                        hooks.on_push(wid)
                     ctx.stats.tasks_spawned += 1
                     ctx.stats.sched_cycles += task_cycles
                     if was_empty:
@@ -142,13 +143,10 @@ def run_work_stealing(
                     was_empty = not my
                     my.append(deques[victim].popleft())
                     ctx.stats.steals += 1
-                    if ctx.check is not None:
-                        ctx.check.on_steal(wid, victim)
+                    if hooks is not None:
+                        hooks.on_steal(wid, victim, ctx.engine.now)
                     if registry is not None:
                         registry.counter("steals", victim=str(victim)).inc(1)
-                    if ctx.trace is not None:
-                        ctx.trace.instant("steal", PID_THREADS, wid,
-                                          ctx.engine.now, victim=victim)
                     if was_empty and len(my) > 1:
                         notify(wid)
                 else:
@@ -163,9 +161,10 @@ def run_work_stealing(
         yield from ctx.join(wid)
 
     ctx.spawn_workers(body, prefix)
-    if ctx.check is not None:
-        # Mirror the initial deal into the checker's shadow deques (the
-        # deques are only consumed once the engine runs, so order holds).
+    if hooks is not None:
+        # Report the initial deal (the checker mirrors it into its shadow
+        # deques; they are only consumed once the engine runs, so order
+        # holds).
         for w, dq in enumerate(deques):
             for _ in dq:
-                ctx.check.on_deal(w)
+                hooks.on_deal(w)

@@ -44,6 +44,9 @@ __all__ = ["serve", "BackgroundServer"]
 
 _MAX_BODY = 8 * 1024 * 1024
 
+#: Seconds :class:`BackgroundServer` waits for its thread after draining.
+DRAIN_TIMEOUT = 30.0
+
 
 class _BadRequest(Exception):
     """Malformed HTTP or JSON (mapped to 400)."""
@@ -121,9 +124,9 @@ class _Server:
 
     def _span(self, route: str, start: float, end: float) -> None:
         from repro.obs import tracer as _obs_tracer
-        trace = _obs_tracer.active()
-        if trace is not None:
-            trace.span(f"serve:{route}", 0, "serve", start, end)
+        tracer = _obs_tracer.active()
+        if tracer is not None:
+            tracer.request_span(route, start, end)
 
     # ----- routing ---------------------------------------------------------
 
@@ -311,7 +314,9 @@ class BackgroundServer:
             client.submit_job(url, spec_dict)
 
     The context manager waits for the socket to bind before yielding the
-    base URL, and drains the service + joins the thread on exit.
+    base URL, and drains the service + joins the thread on exit; a
+    thread still alive :data:`DRAIN_TIMEOUT` seconds later raises
+    :class:`RuntimeError` naming it and its in-flight cell count.
     """
 
     def __init__(self, service_factory: Callable[[], CampaignService],
@@ -368,7 +373,13 @@ class BackgroundServer:
                 loop.call_soon_threadsafe(service.drain)
             except RuntimeError:
                 pass    # loop already closed: the server drained itself
-        if self._thread is not None:
-            self._thread.join(timeout=30)
+        thread = self._thread
+        if thread is not None:
+            thread.join(timeout=DRAIN_TIMEOUT)
+            if thread.is_alive():
+                raise RuntimeError(
+                    f"server thread {thread.name!r} leaked: still alive "
+                    f"{DRAIN_TIMEOUT:g}s after drain with "
+                    f"{service.inflight if service else 0} cell(s) in flight")
         if self._error is not None:
             raise RuntimeError(f"server thread died: {self._error}")

@@ -708,6 +708,11 @@ class CampaignService:
         """Smoothed compute throughput (cells/second; 0 = unknown)."""
         return self._rate
 
+    @property
+    def inflight(self) -> int:
+        """Cells inside the batch being computed right now."""
+        return self._inflight
+
     def health(self) -> dict:
         """The server/store health document (``GET /healthz``)."""
         now = self._clock()

@@ -35,9 +35,7 @@ import heapq
 from itertools import count
 from typing import Callable, Generator
 
-from repro.check import checker as _check
-from repro.obs import tracer as _obs_tracer
-from repro.obs.tracer import PID_ENGINE, PID_THREADS
+from repro.sim import hooks as _hooks
 
 __all__ = ["Engine", "Barrier", "Condition", "Process",
            "SimulationError", "SimulationTimeout", "DeadlockError",
@@ -114,10 +112,9 @@ class Engine:
         self.max_events = max_events
         self.max_time = max_time
         self.events_processed = 0
-        # Telemetry (repro.obs) and concurrency checking (repro.check):
-        # captured once here, null-checked per use.
-        self.trace = _obs_tracer.active()
-        self.check = _check.active()
+        # The installed tracer or checker (repro.sim.hooks), captured
+        # once per region; every site makes one call behind one null check.
+        self.hooks = _hooks.active()
 
     @property
     def now(self) -> float:
@@ -152,9 +149,8 @@ class Engine:
     def _timeout(self, kind: str, budget) -> SimulationTimeout:
         blocked = self.blocked_processes()
         detail = ("; blocked: " + ", ".join(blocked)) if blocked else ""
-        if self.trace is not None:
-            self.trace.instant("watchdog-timeout", PID_ENGINE, 0, self._now,
-                               kind=kind, blocked=list(blocked))
+        if self.hooks is not None:
+            self.hooks.on_timeout(self._now, kind, blocked)
         return SimulationTimeout(
             f"simulation exceeded its {kind} budget ({budget}) at "
             f"t={self._now:.1f} after {self.events_processed} events{detail}",
@@ -186,9 +182,8 @@ class Engine:
         if self._active:
             blocked = self.blocked_processes()
             lines = "\n  ".join(blocked) if blocked else "(unnamed)"
-            if self.trace is not None:
-                self.trace.instant("deadlock", PID_ENGINE, 0, self._now,
-                                   blocked=list(blocked))
+            if self.hooks is not None:
+                self.hooks.on_deadlock(self._now, blocked)
             raise DeadlockError(
                 f"deadlock: {self._active} process(es) blocked with no "
                 f"pending events at t={self._now:.1f}:\n  {lines}",
@@ -217,11 +212,9 @@ class Process:
         self.killed = killed
         self.waiting_on = None
         self.engine._active -= 1
-        trace = self.engine.trace
-        if trace is not None and self.tid is not None and killed:
-            trace.instant("killed", PID_THREADS, self.tid, self.engine.now)
-        if killed and self.engine.check is not None:
-            self.engine.check.on_kill(self.tid)
+        hooks = self.engine.hooks
+        if killed and hooks is not None:
+            hooks.on_kill(self.tid, self.engine.now)
 
     def _step(self) -> None:
         self.waiting_on = None
@@ -269,9 +262,9 @@ class Barrier:
     def _block(self, proc: Process) -> None:
         proc.waiting_on = self
         self._waiting.append(proc)
-        trace = self.engine.trace
-        if trace is not None and proc.tid is not None:
-            trace.begin("barrier-wait", PID_THREADS, proc.tid, self.engine.now)
+        hooks = self.engine.hooks
+        if hooks is not None:
+            hooks.on_barrier_wait(proc.tid, self.engine.now)
         self._maybe_release()
 
     def drop_party(self) -> None:
@@ -286,15 +279,13 @@ class Barrier:
             waiting, self._waiting = self._waiting, []
             self.trips += 1
             release_delay = self.cost_fn(max(1, self.parties))
-            trace = self.engine.trace
-            for p in waiting:
-                if trace is not None and p.tid is not None:
-                    trace.end("barrier-wait", PID_THREADS, p.tid,
-                              self.engine.now + release_delay)
-                self.engine.schedule(release_delay, p._step)
-            if self.engine.check is not None:
+            hooks = self.engine.hooks
+            if hooks is not None:
                 tids = [p.tid for p in waiting if p.tid is not None]
-                self.engine.check.on_barrier(self, tids, self.engine.now)
+                hooks.on_barrier(self, tids, self.engine.now,
+                                 self.engine.now + release_delay)
+            for p in waiting:
+                self.engine.schedule(release_delay, p._step)
 
 
 class Condition:
@@ -313,17 +304,16 @@ class Condition:
                 f"waiters={len(self._waiting)})")
 
     def _block(self, proc: Process) -> None:
+        hooks = self.engine.hooks
         if self.fired:
-            if self.engine.check is not None:
-                self.engine.check.on_cond_wake(self, proc.tid)
+            if hooks is not None:
+                hooks.on_cond_wake(self, proc.tid)
             self.engine.schedule(0.0, proc._step)
         else:
             proc.waiting_on = self
             self._waiting.append(proc)
-            trace = self.engine.trace
-            if trace is not None and proc.tid is not None:
-                trace.begin("cond-wait", PID_THREADS, proc.tid,
-                            self.engine.now)
+            if hooks is not None:
+                hooks.on_cond_wait(proc.tid, self.engine.now)
 
     def fire(self, tid: int | None = None) -> None:
         """Wake all current and future waiters.
@@ -334,13 +324,10 @@ class Condition:
         """
         self.fired = True
         waiting, self._waiting = self._waiting, []
-        trace = self.engine.trace
-        check = self.engine.check
-        if check is not None:
-            check.on_cond_fire(self, tid)
+        hooks = self.engine.hooks
+        if hooks is not None:
+            hooks.on_cond_fire(self, tid,
+                               [p.tid for p in waiting if p.tid is not None],
+                               self.engine.now)
         for p in waiting:
-            if trace is not None and p.tid is not None:
-                trace.end("cond-wait", PID_THREADS, p.tid, self.engine.now)
-            if check is not None:
-                check.on_cond_wake(self, p.tid)
             self.engine.schedule(0.0, p._step)

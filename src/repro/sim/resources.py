@@ -12,18 +12,15 @@ atomic fetch-and-add contention on shared queue/loop counters (§IV-A,
 §IV-C), per-vertex lock costs in the SNAP BFS (§IV-C), and DRAM bandwidth
 saturation (§V-B).
 
-Telemetry (:mod:`repro.obs`): every resource takes a ``label`` and, when
-a tracer is active at construction time, records each reservation as a
-span on its own resource track (service interval, with the queue wait in
-the span args).  With no tracer installed the per-operation cost is a
-single ``is not None`` test.
+Instrumentation: every resource takes a ``label`` and the region
+engine's ``hooks`` (:mod:`repro.sim.hooks`), and reports each
+reservation to it with its request time and service interval.  With no
+instrument installed that costs a single ``is not None`` test.
 """
 
 from __future__ import annotations
 
-from repro.check import checker as _check
-from repro.obs import tracer as _obs_tracer
-from repro.obs.tracer import PID_RESOURCES
+from repro.sim.hooks import Hooks
 
 __all__ = ["AtomicVar", "TicketLock", "MemoryChannel"]
 
@@ -36,7 +33,8 @@ class AtomicVar:
     variable for ``latency`` cycles, FIFO.
     """
 
-    def __init__(self, latency: float, label: str = "atomic"):
+    def __init__(self, latency: float, label: str = "atomic",
+                 hooks: Hooks | None = None):
         if latency < 0:
             raise ValueError(f"latency must be >= 0, got {latency}")
         self.latency = latency
@@ -44,8 +42,7 @@ class AtomicVar:
         self._next_free = 0.0
         self.operations = 0
         self.wait_cycles = 0.0
-        self._trace = _obs_tracer.active()
-        self._check = _check.active()
+        self.hooks = hooks  # the region engine's instrument, or None
 
     def rmw(self, now: float, tid: int | None = None) -> float:
         """Perform one RMW issued at *now*; returns its completion time.
@@ -59,11 +56,8 @@ class AtomicVar:
         done = start + self.latency
         self._next_free = done
         self.operations += 1
-        if self._trace is not None:
-            self._trace.span("rmw", PID_RESOURCES, self.label, start, done,
-                             wait=start - now)
-        if self._check is not None:
-            self._check.on_rmw(self, tid)
+        if self.hooks is not None:
+            self.hooks.on_rmw(self, tid, now, start, done)
         return done
 
 
@@ -74,7 +68,8 @@ class TicketLock:
     lock is occupied for ``latency + hold``.
     """
 
-    def __init__(self, latency: float, label: str = "lock"):
+    def __init__(self, latency: float, label: str = "lock",
+                 hooks: Hooks | None = None):
         if latency < 0:
             raise ValueError(f"latency must be >= 0, got {latency}")
         self.latency = latency
@@ -82,8 +77,7 @@ class TicketLock:
         self._next_free = 0.0
         self.acquisitions = 0
         self.wait_cycles = 0.0
-        self._trace = _obs_tracer.active()
-        self._check = _check.active()
+        self.hooks = hooks  # the region engine's instrument, or None
 
     def acquire(self, now: float, hold: float = 0.0,
                 tid: int | None = None) -> float:
@@ -100,11 +94,8 @@ class TicketLock:
         done = start + self.latency + hold
         self._next_free = done
         self.acquisitions += 1
-        if self._trace is not None:
-            self._trace.span("lock", PID_RESOURCES, self.label, start, done,
-                             wait=start - now)
-        if self._check is not None:
-            self._check.on_lock(self, tid, start, done)
+        if self.hooks is not None:
+            self.hooks.on_lock(self, tid, now, start, done)
         return done
 
 
@@ -124,7 +115,7 @@ class MemoryChannel:
     """
 
     def __init__(self, banks: int, cycles_per_line: float,
-                 label: str = "dram"):
+                 label: str = "dram", hooks: Hooks | None = None):
         if banks < 1:
             raise ValueError(f"banks must be >= 1, got {banks}")
         if cycles_per_line < 0:
@@ -136,7 +127,7 @@ class MemoryChannel:
         self.lines = 0.0
         self.wait_cycles = 0.0
         self.busy_cycles = 0.0
-        self._trace = _obs_tracer.active()
+        self.hooks = hooks  # the region engine's instrument, or None
 
     @property
     def n_banks(self) -> int:
@@ -165,9 +156,6 @@ class MemoryChannel:
         self.transfers += 1
         self.lines += volume
         self.busy_cycles += done - start
-        if self._trace is not None:
-            # One track per bank: service intervals on a bank are disjoint,
-            # so the B/E spans nest trivially.
-            self._trace.span("xfer", PID_RESOURCES, f"{self.label}-bank{i}",
-                             start, done, lines=volume, wait=start - now)
+        if self.hooks is not None:
+            self.hooks.on_xfer(self, i, now, start, done, volume)
         return done

@@ -222,8 +222,8 @@ def _lock_scenario(order_ba: bool):
     engine = Engine()
     chk = check.active()
     chk.begin_loop("lock-test", 2, None)
-    la = TicketLock(2.0, label="lock-a")
-    lb = TicketLock(2.0, label="lock-b")
+    la = TicketLock(2.0, label="lock-a", hooks=engine.hooks)
+    lb = TicketLock(2.0, label="lock-b", hooks=engine.hooks)
 
     def thread(tid, first, second):
         done = first.acquire(engine.now, hold=20.0, tid=tid)

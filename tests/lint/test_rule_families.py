@@ -153,21 +153,35 @@ def test_env_write_with_reader_is_clean(run_lint):
     """\
         class Engine:
             def step(self):
-                self._trace.on_event("step", 1.0)
+                self.hooks.on_chunk(0, 0, 1, 0.0, 1.0)
         """,
     # module-level code runs in no function body
     """\
-        from repro.obs.tracer import active
+        from repro.sim.hooks import active
 
-        trace = active()
-        trace.on_event("import", 0.0)
+        hooks = active()
+        hooks.on_kill(0, 0.0)
         """,
     # neither does a class body
     """\
         class Engine:
-            trace.on_event("define", 0.0)
+            hooks.on_kill(0, 0.0)
         """,
-], ids=["method", "module-level", "class-body"])
+    # the one hook handle, read through the region engine
+    """\
+        class LoopContext:
+            def execute_chunk(self, tid):
+                self.engine.hooks.on_chunk(tid, 0, 1, 0.0, 1.0)
+        """,
+    # the metrics registry is a nullable handle too
+    """\
+        from repro.obs import metrics
+
+        def steal(victim):
+            registry = metrics.active()
+            registry.counter("steals", victim=str(victim)).inc(1)
+        """,
+], ids=["method", "module-level", "class-body", "hooks", "registry"])
 def test_obs_ungated_fires(run_lint, source):
     result = run_lint({"repro/sim/hooks.py": source})
     assert "obs-ungated" in rules_fired(result)
@@ -177,8 +191,8 @@ def test_obs_gated_call_is_clean(run_lint):
     result = run_lint({"repro/sim/hooks.py": """\
         class Engine:
             def step(self):
-                if self._trace is not None:
-                    self._trace.on_event("step", 1.0)
+                if self.hooks is not None:
+                    self.hooks.on_kill(0, 1.0)
         """})
     assert "obs-ungated" not in rules_fired(result)
 
@@ -187,9 +201,9 @@ def test_obs_early_return_guard_is_clean(run_lint):
     result = run_lint({"repro/sim/hooks.py": """\
         class Engine:
             def step(self):
-                if self._trace is None:
+                if self.hooks is None:
                     return
-                self._trace.on_event("step", 1.0)
+                self.hooks.on_kill(0, 1.0)
         """})
     assert "obs-ungated" not in rules_fired(result)
 

@@ -62,8 +62,8 @@ _OBS_CALLER = """\
     """
 
 _OBS_HELPER = """\
-    def note(trace, value):
-        trace.hit(value)
+    def note(hooks, value):
+        hooks.on_chunk(value)
     """
 
 
@@ -261,18 +261,18 @@ def test_ungated_helper_reached_from_sim_scope(run_lint):
 def test_gated_helper_is_clean(run_lint):
     result = run_lint({"repro/sim/engine.py": _OBS_CALLER,
                        "repro/telemetry.py": """\
-        def note(trace, value):
-            if trace is not None:
-                trace.hit(value)
+        def note(hooks, value):
+            if hooks is not None:
+                hooks.on_chunk(value)
         """})
     assert "obs-ungated" not in rules_fired(result)
 
 
 def test_obs_transitive_suppressed_at_helper_end(run_lint):
     helper = """\
-        def note(trace, value):
+        def note(hooks, value):
             # repro: ignore[obs-ungated] caller owns the gate
-            trace.hit(value)
+            hooks.on_chunk(value)
         """
     result = run_lint({"repro/sim/engine.py": _OBS_CALLER,
                        "repro/telemetry.py": helper})

@@ -6,7 +6,7 @@ import urllib.request
 
 import pytest
 
-from repro.serve import client
+from repro.serve import client, http
 from repro.serve.http import BackgroundServer
 from repro.serve.service import CampaignService
 from repro.serve.shards import ShardedResultStore
@@ -124,8 +124,35 @@ class TestErrors:
                     url, make_spec([3], name="b"), client="alice")
                 assert status == 429
                 assert "quota" in doc["error"]
+                gate.set()  # release before exit: the drain then finishes
         finally:
             gate.set()
+
+    def test_leaked_server_thread_fails_exit(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(http, "DRAIN_TIMEOUT", 0.5)
+        store = ShardedResultStore(tmp_path / "store", shards=2,
+                                   cache_size=0, fingerprint="ff")
+        gate, started = threading.Event(), threading.Event()
+
+        def stalled(cell):
+            started.set()
+            gate.wait(timeout=30)
+            return 1.0
+
+        harness = BackgroundServer(
+            lambda: CampaignService(store, jobs=1, retries=0,
+                                    runner=stalled))
+        try:
+            with pytest.raises(RuntimeError,
+                               match=r"'repro-serve' leaked.*1 cell\(s\) "
+                                     r"in flight"):
+                with harness as url:
+                    client.submit_job(url, make_spec([1]))
+                    assert started.wait(timeout=30)
+        finally:
+            gate.set()
+        harness._thread.join(timeout=30)
+        assert not harness._thread.is_alive()
 
     def test_results_before_done_is_409(self, tmp_path):
         store = ShardedResultStore(tmp_path / "store", shards=2,
