@@ -22,6 +22,7 @@ import numpy as np
 from repro._util import rng_from_seed
 from repro.graph.csr import CSRGraph
 from repro.kernels.base import AccessSet, KernelRun, gather_neighbors
+from repro.kernels.coloring.sequential import first_fit_mex
 
 __all__ = ["jones_plassmann_coloring", "simulate_jones_plassmann",
            "JonesPlassmannRun"]
@@ -44,7 +45,6 @@ def jones_plassmann_coloring(graph: CSRGraph, seed=0, max_rounds: int = 10_000):
 
     uncolored = np.arange(n, dtype=np.int64)
     rounds = 0
-    bits = np.uint64(1) << np.arange(64, dtype=np.uint64)
     while uncolored.size and rounds < max_rounds:
         rounds += 1
         nbrs, seg = gather_neighbors(indptr, indices, uncolored)
@@ -56,39 +56,19 @@ def jones_plassmann_coloring(graph: CSRGraph, seed=0, max_rounds: int = 10_000):
             np.logical_or.at(losers, seg, beat)
         winners = uncolored[~losers]
         # colour winners: smallest colour unused by (coloured) neighbours
-        _first_fit(indptr, indices, colors, winners, bits)
+        _first_fit(indptr, indices, colors, winners)
         uncolored = uncolored[losers]
     if uncolored.size:
         raise RuntimeError(f"did not converge in {max_rounds} rounds")
     return int(colors.max()), colors, rounds
 
 
-def _first_fit(indptr, indices, colors, verts, bits):
+def _first_fit(indptr, indices, colors, verts):
     """First-fit each vertex of *verts* (no two are adjacent)."""
-    nbrs, seg = gather_neighbors(indptr, indices, verts)
-    nc = colors[nbrs]
-    small = (nc > 0) & (nc <= 64)
-    masks = np.zeros(len(verts), dtype=np.uint64)
-    if len(nbrs):
-        contrib = np.where(small, bits[np.where(small, nc - 1, 0)],
-                           np.uint64(0))
-        np.bitwise_or.at(masks, seg, contrib)
-    low = (~masks) & (masks + np.uint64(1))
-    mex = np.zeros(len(verts), dtype=np.int64)
-    need_exact = low == 0  # all 64 low bits taken
-    if len(nbrs):
-        has_big = np.zeros(len(verts), dtype=bool)
-        np.logical_or.at(has_big, seg, nc > 64)
-        need_exact |= has_big
-    ok = ~need_exact
-    mex[ok] = np.log2(low[ok].astype(np.float64)).astype(np.int64) + 1
-    for i in np.nonzero(need_exact)[0]:
-        vn = nc[seg == i]
-        vn = vn[vn > 0]
-        seen = np.zeros(len(vn) + 2, dtype=bool)
-        seen[vn[vn <= len(vn) + 1] - 1] = True
-        mex[i] = int(np.argmin(seen)) + 1
-    colors[verts] = mex
+    nbrs, _ = gather_neighbors(indptr, indices, verts)
+    offsets = np.zeros(len(verts) + 1, dtype=np.int64)
+    np.cumsum(indptr[verts + 1] - indptr[verts], out=offsets[1:])
+    colors[verts] = first_fit_mex(colors[nbrs], offsets)
 
 
 def _round_access(graph: CSRGraph, visit: np.ndarray) -> AccessSet:
@@ -164,7 +144,6 @@ def simulate_jones_plassmann(graph: CSRGraph, n_threads: int, spec=None,
     rng = rng_from_seed(seed)
     priority = rng.permutation(n).astype(np.int64)
     colors = np.zeros(n, dtype=np.int64)
-    bits = np.uint64(1) << np.arange(64, dtype=np.uint64)
     uncolored = np.arange(n, dtype=np.int64)
     while uncolored.size:
         st = spec.parallel_for(config, n_threads, costs.take(uncolored),
@@ -178,8 +157,7 @@ def simulate_jones_plassmann(graph: CSRGraph, n_threads: int, spec=None,
         losers = np.zeros(len(uncolored), dtype=bool)
         if len(nbrs):
             np.logical_or.at(losers, seg, beat)
-        _first_fit(graph.indptr, graph.indices, colors, uncolored[~losers],
-                   bits)
+        _first_fit(graph.indptr, graph.indices, colors, uncolored[~losers])
         uncolored = uncolored[losers]
         run.rounds += 1
     run.colors = colors

@@ -20,6 +20,7 @@ differ by more than 5%").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from repro._util import env_float
 from repro.graph.csr import CSRGraph
 from repro.kernels.base import (AccessSet, KernelRun, gather_neighbors,
                                 wave_partition)
-from repro.kernels.coloring.sequential import greedy_coloring
+from repro.kernels.coloring.sequential import first_fit_mex, greedy_coloring
 from repro.machine.cache import access_profile_cached
 from repro.machine.config import KNF, MachineConfig
 from repro.machine.costs import (WorkCosts, coloring_conflict_costs,
@@ -35,8 +36,6 @@ from repro.machine.costs import (WorkCosts, coloring_conflict_costs,
 from repro.runtime.base import RuntimeSpec
 
 __all__ = ["ColoringRun", "parallel_coloring", "color_race_fraction"]
-
-_BITS = np.uint64(1) << np.arange(64, dtype=np.uint64)
 
 #: Probability that two *same-instant* adjacent colourings actually race.
 #: The lockstep replay marks whole vertex-processing slots as simultaneous,
@@ -139,7 +138,9 @@ def parallel_coloring(
                                                          n_threads))
         run.add_loop(st1)
         if n_threads == 1:
-            greedy_coloring(graph, order=visit, colors=run.colors)
+            # One thread visits 0..n-1 in order: plain First-Fit, proper
+            # by construction, so this is the only round.
+            run.colors[:] = _natural_first_fit(graph)
         else:
             time_counter = _replay_tentative(
                 graph, visit, run.colors, st1.chunks, n_threads,
@@ -150,9 +151,12 @@ def parallel_coloring(
                                 seed=seed + 17 * run.rounds + 1, faults=faults,
                                 access=_conflict_access(graph, visit))
         run.add_loop(st2)
-        rng = np.random.default_rng((seed + 3) * 99_991 + run.rounds)
-        conflicts = _detect_conflicts(graph, visit, run.colors, write_time,
-                                      rng, race_fraction)
+        if n_threads == 1:
+            conflicts = visit[:0]
+        else:
+            rng = np.random.default_rng((seed + 3) * 99_991 + run.rounds)
+            conflicts = _detect_conflicts(graph, visit, run.colors,
+                                          write_time, rng, race_fraction)
         run.conflicts_per_round.append(len(conflicts))
         visit = conflicts
         run.rounds += 1
@@ -206,6 +210,16 @@ def _conflict_access(graph: CSRGraph, visit: np.ndarray) -> AccessSet:
     return AccessSet("coloring-conflict").reads("colors", read)
 
 
+@lru_cache(maxsize=16)
+def _natural_first_fit(graph: CSRGraph) -> np.ndarray:
+    """Read-only First-Fit colours of *graph* in natural order, memoised
+    per graph (graphs hash by identity): a thread sweep colours each
+    graph at one thread under every runtime variant."""
+    colors = greedy_coloring(graph)[1]
+    colors.setflags(write=False)
+    return colors
+
+
 def _replay_tentative(graph, visit, colors, chunks, n_threads,
                       write_time, time0):
     """Time-faithful semantic replay of one tentative-colouring pass.
@@ -215,56 +229,42 @@ def _replay_tentative(graph, visit, colors, chunks, n_threads,
     coloured simultaneously (vectorised).  A vertex sees every colour
     committed at an earlier lockstep instant — earlier waves/rounds and
     earlier positions of any concurrent chunk (caches are coherent, writes
-    propagate immediately) — but not the vertices being coloured at the
-    *same* instant.  Conflicts therefore arise exactly between
+    propagate immediately).  All reads of a step happen before its
+    commits, so a neighbour coloured at the *same* instant contributes
+    its colour from an earlier round (a stale read), or none if it was
+    uncoloured.  Conflicts therefore arise exactly between
     simultaneously-processed adjacent vertices, which is the race the
     paper's speculative algorithm tolerates and repairs.
+
+    Each wave's vertices are laid out step-major and their neighbours
+    gathered once; step ``p`` then reads one contiguous slice.
     """
     indptr, indices = graph.indptr, graph.indices
-    waves = wave_partition(chunks, n_threads)
     tick = time0
-    for wave in waves:
+    for wave in wave_partition(chunks, n_threads):
         lows = np.asarray([c.lo for c in wave], dtype=np.int64)
         sizes = np.asarray([c.hi - c.lo for c in wave], dtype=np.int64)
-        for p in range(int(sizes.max())):
-            tick += 1
-            live = sizes > p
-            verts = visit[lows[live] + p]
-            _color_wave_step(indptr, indices, colors, verts, tick, write_time)
+        n_steps = int(sizes.max())
+        step = np.arange(n_steps, dtype=np.int64)[:, None]
+        live = step < sizes
+        verts = visit[(lows + step)[live]]
+        per_step = live.sum(axis=1)
+        vstart = [0, *np.cumsum(per_step).tolist()]
+        offsets = np.zeros(len(verts) + 1, dtype=np.int64)
+        np.cumsum(indptr[verts + 1] - indptr[verts], out=offsets[1:])
+        nbrs, _ = gather_neighbors(indptr, indices, verts)
+        for p in range(n_steps):
+            a, b = vstart[p], vstart[p + 1]
+            seg = offsets[a:b + 1]
+            lo, hi = seg[0], seg[-1]
+            colors[verts[a:b]] = first_fit_mex(colors[nbrs[lo:hi]], seg - lo)
+        # repro: ignore[fp-undeclared-write] write_time is replay-side
+        # bookkeeping (which lockstep instant committed each colour), not
+        # simulated shared state; it never exists on the modelled machine,
+        # so the checker has nothing to audit.
+        write_time[verts] = tick + 1 + np.repeat(step[:, 0], per_step)
+        tick += n_steps
     return tick
-
-
-def _color_wave_step(indptr, indices, colors, verts, tick, write_time):
-    """Colour one lockstep instant across concurrent chunks (vectorised)."""
-    nbrs, seg = gather_neighbors(indptr, indices, verts)
-    nc = colors[nbrs]
-    visible = (nc > 0) & (write_time[nbrs] < tick)
-    small = visible & (nc <= 64)
-    masks = np.zeros(len(verts), dtype=np.uint64)
-    if len(nbrs):
-        contrib = np.where(small, _BITS[np.where(small, nc - 1, 0)],
-                           np.uint64(0))
-        np.bitwise_or.at(masks, seg, contrib)
-    low = (~masks) & (masks + np.uint64(1))
-    overflow = low == 0
-    mex = np.zeros(len(verts), dtype=np.int64)
-    ok = ~overflow
-    mex[ok] = np.log2(low[ok].astype(np.float64)).astype(np.int64) + 1
-    if overflow.any() or (visible & ~small).any():
-        # Rare path: colour counts past 64 — per-vertex exact first fit.
-        need = np.unique(np.concatenate([np.nonzero(overflow)[0],
-                                         np.unique(seg[visible & ~small])]))
-        for i in need:
-            vn = nc[(seg == i) & visible]
-            seen = np.zeros(len(vn) + 2, dtype=bool)
-            seen[vn[vn <= len(vn) + 1] - 1] = True
-            mex[i] = int(np.argmin(seen)) + 1
-    colors[verts] = mex
-    # repro: ignore[fp-undeclared-write] write_time is replay-side
-    # bookkeeping (which lockstep instant committed each colour), not
-    # simulated shared state; it never exists on the modelled machine,
-    # so the checker has nothing to audit.
-    write_time[verts] = tick
 
 
 def _detect_conflicts(graph, visit, colors, write_time=None, rng=None,

@@ -5,14 +5,19 @@ used by an already-coloured neighbour.  This is the baseline whose colour
 count Table I reports, and the quality yardstick for the parallel
 algorithm (§V-B: parallel colour counts stay within 5 %).
 
-Two interchangeable inner loops:
+Three First-Fit forms share this module:
 
-* a *bitset* path (colours ≤ 63): per vertex, one vectorised gather of
-  neighbour colours and one ``bitwise_or`` reduction; the smallest missing
-  colour is the lowest zero bit,
-* a *stamp* path (the textbook ``forbiddenColors`` array stamped with the
-  current vertex, exactly Algorithm 1), used for high colour counts and as
-  a cross-check in tests.
+* :func:`greedy_coloring`, the working loop: colours and row pointers are
+  Python lists, each vertex reads its neighbours as its own small slice
+  of the adjacency array, and the smallest missing colour is found
+  through a ``set`` (no colour-count limit),
+* :func:`first_fit_mex`, the vectorised form for a batch of mutually
+  independent vertices (one lockstep instant of the parallel replay, one
+  Jones-Plassmann round): a ``uint64`` bitset per vertex, with an exact
+  fallback once colours 1-64 are all taken,
+* :func:`greedy_coloring_stamp`, the textbook ``forbiddenColors`` array
+  stamped with the current vertex, exactly Algorithm 1; tests compare the
+  others against it.
 """
 
 from __future__ import annotations
@@ -21,9 +26,12 @@ import numpy as np
 
 from repro.graph.csr import CSRGraph
 
-__all__ = ["greedy_coloring", "greedy_coloring_stamp"]
+__all__ = ["greedy_coloring", "greedy_coloring_stamp", "first_fit_mex"]
 
-_BITSET_LIMIT = 63  # colours representable in one uint64 (bit c-1 = colour c)
+#: colour -> its bit (colour c is bit c-1); 0 (uncoloured) and colours
+#: past 64 (index 65, after clipping) contribute nothing.
+_COLOR_BIT = np.zeros(66, dtype=np.uint64)
+_COLOR_BIT[1:65] = np.uint64(1) << np.arange(64, dtype=np.uint64)
 
 
 def greedy_coloring(graph: CSRGraph, order: np.ndarray | None = None,
@@ -39,8 +47,8 @@ def greedy_coloring(graph: CSRGraph, order: np.ndarray | None = None,
         matching the paper's "naturally ordered" runs.
     colors:
         Optional pre-existing colour array to continue from (used by the
-        parallel algorithm's sequential fast path when recolouring a
-        conflict set); modified in place.
+        parallel algorithm to re-fit vertices with full visibility);
+        modified in place.
 
     Returns
     -------
@@ -49,39 +57,54 @@ def greedy_coloring(graph: CSRGraph, order: np.ndarray | None = None,
         is ``max(colors)`` (0 for an empty graph).
     """
     n = graph.n_vertices
-    indptr, indices = graph.indptr, graph.indices
     if colors is None:
         colors = np.zeros(n, dtype=np.int64)
     elif len(colors) != n:
         raise ValueError(f"colors has length {len(colors)}, expected {n}")
-    if order is None:
-        order = range(n)
-    bits = np.uint64(1) << np.arange(64, dtype=np.uint64)
-    maxcolor = int(colors.max()) if n else 0
+    indptr, indices = graph.indptr.tolist(), graph.indices
+    col = colors.tolist()
+    order = range(n) if order is None else np.asarray(order).tolist()
     for v in order:
-        nbr = indices[indptr[v]:indptr[v + 1]]
-        nc = colors[nbr]
-        nc = nc[nc > 0]
-        if nc.size == 0:
-            c = 1
-        elif maxcolor <= _BITSET_LIMIT:
-            mask = int(np.bitwise_or.reduce(bits[nc - 1]))
-            # lowest zero bit of mask -> smallest permissible colour
-            c = (~mask & (mask + 1)).bit_length()
-        else:
-            c = _first_fit_stamp(nc)
-        colors[v] = c
-        if c > maxcolor:
-            maxcolor = c
-    return maxcolor, colors
+        # One small slice per vertex: converting the whole adjacency
+        # array to a list would cost an int object per directed edge.
+        used = {col[w] for w in indices[indptr[v]:indptr[v + 1]].tolist()}
+        c = 1
+        while c in used:
+            c += 1
+        col[v] = c
+    colors[:] = col
+    return max(col, default=0), colors
 
 
-def _first_fit_stamp(neighbor_colors: np.ndarray) -> int:
-    """Smallest positive integer absent from *neighbor_colors*."""
-    seen = np.zeros(len(neighbor_colors) + 2, dtype=bool)
-    inrange = neighbor_colors[neighbor_colors <= len(neighbor_colors) + 1]
-    seen[inrange - 1] = True
-    return int(np.argmin(seen)) + 1
+def first_fit_mex(neighbor_colors: np.ndarray,
+                  offsets: np.ndarray) -> np.ndarray:
+    """Smallest positive colour absent from each neighbourhood (vectorised).
+
+    ``neighbor_colors[offsets[i]:offsets[i + 1]]`` are the colours of the
+    i-th vertex's neighbours (0 = uncoloured); ``offsets`` starts at 0
+    and ends at ``len(neighbor_colors)``.  Returns an ``int64`` array of
+    ``len(offsets) - 1`` colours.  Colours past 64 never change the
+    answer unless colours 1-64 are all present; those vertices take an
+    exact per-vertex path.
+    """
+    k = len(offsets) - 1
+    masks = np.zeros(k, dtype=np.uint64)
+    starts = offsets[:-1]
+    nonempty = offsets[1:] > starts
+    if len(neighbor_colors):
+        bits = _COLOR_BIT[np.minimum(neighbor_colors, 65)]
+        masks[nonempty] = np.bitwise_or.reduceat(bits, starts[nonempty])
+    low = ~masks & (masks + np.uint64(1))  # lowest clear bit; 0 if none
+    full = low == 0
+    low[full] = 1
+    mex = np.log2(low.astype(np.float64)).astype(np.int64) + 1
+    for i in np.flatnonzero(full):
+        used = set(neighbor_colors[offsets[i]:offsets[i + 1]].tolist())
+        c = 65
+        while c in used:
+            c += 1
+        mex[i] = c
+    return mex
 
 
 def greedy_coloring_stamp(graph: CSRGraph, order=None):

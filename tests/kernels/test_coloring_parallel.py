@@ -38,12 +38,23 @@ def test_always_produces_valid_coloring(mesh, spec, n_threads, tiny_machine):
 
 class TestSemantics:
     def test_single_thread_matches_sequential(self, mesh, tiny_machine):
-        run = parallel_coloring(mesh, 1, SPECS[0], tiny_machine)
         n_seq, c_seq = greedy_coloring(mesh)
-        assert run.n_colors == n_seq
-        assert np.array_equal(run.colors, c_seq)
-        assert run.rounds == 1
-        assert run.conflicts_per_round == [0]
+        for spec in SPECS:
+            run = parallel_coloring(mesh, 1, spec, tiny_machine)
+            assert run.n_colors == n_seq, spec.label
+            assert np.array_equal(run.colors, c_seq), spec.label
+            assert run.rounds == 1, spec.label
+            assert run.conflicts_per_round == [0], spec.label
+
+    def test_single_thread_runs_do_not_share_colors(self, mesh,
+                                                    tiny_machine):
+        """The one-thread colouring is memoised per graph; each run must
+        still own its colour array."""
+        first = parallel_coloring(mesh, 1, SPECS[0], tiny_machine)
+        first.colors[:] = 0
+        second = parallel_coloring(mesh, 1, SPECS[1], tiny_machine)
+        assert np.array_equal(second.colors, greedy_coloring(mesh)[1])
+        assert second.colors.flags.writeable
 
     def test_quality_within_paper_bound(self, mesh, tiny_machine):
         """§V-B: parallel colour counts within ~5% of sequential."""

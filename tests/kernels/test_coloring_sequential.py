@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import chain, complete, erdos_renyi, grid2d, star
-from repro.kernels.coloring.sequential import (greedy_coloring,
+from repro.kernels.coloring.sequential import (first_fit_mex,
+                                               greedy_coloring,
                                                greedy_coloring_stamp)
 from repro.kernels.coloring.verify import verify_coloring
 
@@ -73,7 +74,7 @@ class TestGreedy:
             greedy_coloring(chain(5), colors=np.zeros(4, dtype=np.int64))
 
     def test_many_colors_fallback_path(self):
-        """Complete graph larger than the 63-colour bitset limit."""
+        """Complete graph past 64 colours (no colour-count limit)."""
         g = complete(80)
         n, colors = greedy_coloring(g)
         assert n == 80
@@ -91,6 +92,28 @@ class TestStampVariant:
         n2, c2 = greedy_coloring_stamp(g)
         assert n1 == n2
         assert np.array_equal(c1, c2)
+
+
+@given(st.lists(st.lists(st.integers(0, 4) | st.integers(60, 70),
+                         max_size=12), max_size=12),
+       st.booleans())
+@example([[], [1]], False)
+@settings(max_examples=60, deadline=None)
+def test_first_fit_mex_matches_scalar(neighborhoods, fill_low):
+    """The vectorised mex equals a scalar loop, including empty
+    neighbourhoods and the all-of-1..64-taken overflow path."""
+    if fill_low:
+        neighborhoods = [hood + list(range(1, 65)) for hood in neighborhoods]
+    offsets = np.zeros(len(neighborhoods) + 1, dtype=np.int64)
+    np.cumsum([len(h) for h in neighborhoods], out=offsets[1:])
+    flat = np.asarray([c for h in neighborhoods for c in h], dtype=np.int64)
+    expected = []
+    for hood in neighborhoods:
+        c = 1
+        while c in hood:
+            c += 1
+        expected.append(c)
+    assert first_fit_mex(flat, offsets).tolist() == expected
 
 
 @given(st.integers(2, 40), st.integers(0, 150), st.integers(0, 2**31 - 1))
